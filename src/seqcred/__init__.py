@@ -60,7 +60,6 @@ from .credible import (
     CredibleBall,
     DefaultCenterResult,
     RadiusEstimate,
-    contains,
     default_center,
     make_confidence_ball,
     radius_at_level,
@@ -71,6 +70,7 @@ from .diagnostics import (
     ConditionEstimate,
     OversmoothingResult,
     PropositionBounds,
+    Replication,
     ball_volume_bound,
     contraction_constant_reference,
     estimate_phi1,
@@ -79,6 +79,7 @@ from .diagnostics import (
     oversmoothing_probability,
     proposition_bounds,
     remark1_transfer,
+    replicate,
 )
 from .experiments import (
     EXPERIMENT_KINDS,
@@ -140,7 +141,6 @@ __all__ = [
     "CredibleBall",
     "DefaultCenterResult",
     "RadiusEstimate",
-    "contains",
     "default_center",
     "make_confidence_ball",
     "radius_at_level",
@@ -150,6 +150,7 @@ __all__ = [
     "ConditionEstimate",
     "OversmoothingResult",
     "PropositionBounds",
+    "Replication",
     "ball_volume_bound",
     "contraction_constant_reference",
     "estimate_phi1",
@@ -158,6 +159,7 @@ __all__ = [
     "oversmoothing_probability",
     "proposition_bounds",
     "remark1_transfer",
+    "replicate",
     # experiments
     "EXPERIMENT_KINDS",
     "ExperimentReport",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -292,10 +291,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if args.command == "experiment" and args.threads is None:
-        env = os.environ.get("DDM_THREADS", "").strip()
-        if env.isdigit():
-            args.threads = int(env)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:

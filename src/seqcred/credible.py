@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import as_generator
-from .posterior import DdmPosterior, _prefix_draws, _sq_dists_to_center, eb_index
+from .posterior import DdmPosterior, eb_index, sample_posterior
 
 __all__ = [
     "RadiusEstimate",
@@ -28,7 +28,6 @@ __all__ = [
     "radius_at_level",
     "default_center",
     "make_confidence_ball",
-    "contains",
 ]
 
 #: posterior mass a default ball must capture
@@ -88,10 +87,8 @@ def radius_at_level(
     estimated from mc_samples posterior draws."""
     if mc_samples < 1000:
         raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
-    rng = as_generator(seed)
     center = _pad_to(center, len(posterior.data))
-    _, prefix = _prefix_draws(posterior, mc_samples, rng)
-    dists = np.sqrt(_sq_dists_to_center(prefix, center))
+    dists = np.sqrt(sample_posterior(posterior, mc_samples, seed).sq_dists(center))
     return radius_from_distances(dists, kappa)
 
 
@@ -157,12 +154,12 @@ def default_center(
         tag = f"projection-{i}" + ("(mode)" if i == i_hat else "")
         candidates.append((tag, posterior.component_mean(i)))
 
-    _, prefix = _prefix_draws(posterior, mc_samples, rng)
+    draws = sample_posterior(posterior, mc_samples, rng)
     kappa = 1.0 - p_level
     best: tuple[float, int] | None = None  # (radius value, candidate position)
     estimates: list[RadiusEstimate] = []
     for pos, (_, cand) in enumerate(candidates):
-        est = radius_from_distances(np.sqrt(_sq_dists_to_center(prefix, cand)), kappa)
+        est = radius_from_distances(np.sqrt(draws.sq_dists(cand)), kappa)
         estimates.append(est)
         if best is None or est.value < best[0]:
             best = (est.value, pos)
@@ -173,8 +170,7 @@ def default_center(
     r_star = estimates[win]
 
     # fresh draws for the honesty check of the inflated ball
-    _, fresh = _prefix_draws(posterior, mc_samples, rng)
-    fresh_d = np.sqrt(_sq_dists_to_center(fresh, center))
+    fresh_d = np.sqrt(sample_posterior(posterior, mc_samples, rng).sq_dists(center))
     mass = float(np.mean(fresh_d <= (1.0 + varsigma) * r_star.value))
     verified = mass >= p_level
     if not verified:
@@ -245,8 +241,3 @@ def make_confidence_ball(
         value = float(radius_estimate)
         level = math.nan
     return CredibleBall(center=np.asarray(center, dtype=float), radius=value, level=level, inflation=float(M))
-
-
-def contains(ball: CredibleBall, theta: np.ndarray | Sequence[float]) -> bool:
-    """Closed-ball membership ||theta - center|| <= M * radius."""
-    return ball.contains(theta)

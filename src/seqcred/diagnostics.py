@@ -13,26 +13,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .credible import default_center
 from .model import ModelConfig, Signal, simulate
 from .oracle import oracle, surrogate_oracle
-from .posterior import (
-    DdmParams,
-    DdmPosterior,
-    _prefix_draws,
-    _sq_dists_to_center,
-    mixture_weights,
-)
+from .posterior import DdmParams, DdmPosterior, make_posterior, mixture_weights, sample_posterior
 
 __all__ = [
     "ConditionEstimate",
     "PropositionBounds",
     "OversmoothingResult",
     "BallVolume",
+    "Replication",
+    "replicate",
     "estimate_phi1",
     "estimate_psi",
     "estimate_phi2",
@@ -110,6 +106,44 @@ def _center_for(
     return result.center, not result.verified
 
 
+class Replication(NamedTuple):
+    """One replication of the credible-ball pipeline.
+
+    dists holds the distances of a fresh batch of posterior draws to the
+    center, or None when the caller asked for the center only.
+    """
+
+    center: np.ndarray
+    flagged: bool  # the default-center verification failed
+    dists: np.ndarray | None
+
+
+def replicate(
+    model: ModelConfig,
+    signal: Signal,
+    params: DdmParams,
+    center_rule: str,
+    mc: int,
+    seed_seq: np.random.SeedSequence,
+    rep: int,
+    distances: bool = True,
+) -> Replication:
+    """Simulate data set ``rep``, form its mixture posterior, resolve the
+    center and measure mc fresh posterior draws against it.
+
+    The data come from stream (rep, 0) under seed_seq.  Everything else
+    comes, in this order, from stream (rep, 1): the center search draws,
+    its verification draws, then the distance batch.
+    """
+    data = simulate(model, signal, _data_seed(_child(seed_seq, rep, 0)))
+    rng = np.random.default_rng(_child(seed_seq, rep, 1))
+    posterior = make_posterior(data, params)
+    center, flagged = _center_for(posterior, center_rule, mc, rng)
+    if not distances:
+        return Replication(center, flagged, None)
+    return Replication(center, flagged, np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center)))
+
+
 def estimate_phi1(
     M: float | Sequence[float],
     model: ModelConfig,
@@ -126,20 +160,11 @@ def estimate_phi1(
     grid, scalar = _as_grid(M)
     if reps < 1 or inner_mc < 1:
         raise ValueError("reps and inner_mc must be positive")
-    ss = _seed_sequence(seed)
     rate = oracle(signal, model).rate
-    freqs = np.empty((reps, len(grid)))
-    flags = 0
-    for rep in range(reps):
-        data = simulate(model, signal, _data_seed(_child(ss, rep, 0)))
-        rng = np.random.default_rng(_child(ss, rep, 1))
-        posterior = DdmPosterior(data=data, params=params, weights=mixture_weights(data, params))
-        center, flagged = _center_for(posterior, center_rule, inner_mc, rng)
-        flags += flagged
-        _, prefix = _prefix_draws(posterior, inner_mc, rng)
-        dists = np.sqrt(_sq_dists_to_center(prefix, center))
-        freqs[rep] = np.mean(dists[:, None] >= grid[None, :] * rate, axis=0)
-    return _collect("phi1", grid, scalar, freqs, reps, inner_mc, rate, flags)
+    return _estimate(
+        "phi1", grid, scalar, rate, lambda r: np.mean(r.dists[:, None] >= grid[None, :] * rate, axis=0),
+        model, signal, params, center_rule, reps, inner_mc, seed,
+    )
 
 
 def estimate_psi(
@@ -168,23 +193,14 @@ def estimate_psi(
         raise ValueError("delta values must be positive")
     if reps < 1 or inner_mc < 1:
         raise ValueError("reps and inner_mc must be positive")
-    ss = _seed_sequence(seed)
     if scaling == "oracle-rate":
         scale = oracle(signal, model).rate
     else:
         scale = math.sqrt(surrogate_oracle(signal, model).sigma_sum)
-    freqs = np.empty((reps, len(grid)))
-    flags = 0
-    for rep in range(reps):
-        data = simulate(model, signal, _data_seed(_child(ss, rep, 0)))
-        rng = np.random.default_rng(_child(ss, rep, 1))
-        posterior = DdmPosterior(data=data, params=params, weights=mixture_weights(data, params))
-        center, flagged = _center_for(posterior, center_rule, inner_mc, rng)
-        flags += flagged
-        _, prefix = _prefix_draws(posterior, inner_mc, rng)
-        dists = np.sqrt(_sq_dists_to_center(prefix, center))
-        freqs[rep] = np.mean(dists[:, None] <= grid[None, :] * scale, axis=0)
-    return _collect("psi", grid, scalar, freqs, reps, inner_mc, scale, flags)
+    return _estimate(
+        "psi", grid, scalar, scale, lambda r: np.mean(r.dists[:, None] <= grid[None, :] * scale, axis=0),
+        model, signal, params, center_rule, reps, inner_mc, seed,
+    )
 
 
 def estimate_phi2(
@@ -204,33 +220,38 @@ def estimate_phi2(
     grid, scalar = _as_grid(M)
     if reps < 1:
         raise ValueError("reps must be positive")
-    ss = _seed_sequence(seed)
     rate = oracle(signal, model).rate
     theta0 = signal.padded(model.n_trunc)
-    miss = np.empty((reps, len(grid)))
-    flags = 0
-    for rep in range(reps):
-        data = simulate(model, signal, _data_seed(_child(ss, rep, 0)))
-        rng = np.random.default_rng(_child(ss, rep, 1))
-        posterior = DdmPosterior(data=data, params=params, weights=mixture_weights(data, params))
-        center, flagged = _center_for(posterior, center_rule, inner_mc, rng)
-        flags += flagged
-        gap = float(np.linalg.norm(theta0 - center))
-        miss[rep] = gap >= grid * rate
-    out = _collect("phi2", grid, scalar, miss, reps, 0, rate, flags)
-    return out
+    return _estimate(
+        "phi2", grid, scalar, rate, lambda r: float(np.linalg.norm(theta0 - r.center)) >= grid * rate,
+        model, signal, params, center_rule, reps, inner_mc, seed,
+    )
 
 
-def _collect(
+def _estimate(
     kind: str,
     grid: np.ndarray,
     scalar: bool,
-    freqs: np.ndarray,
+    scale: float,
+    statistic: Callable[[Replication], np.ndarray],
+    model: ModelConfig,
+    signal: Signal,
+    params: DdmParams,
+    center_rule: str,
     reps: int,
     inner_mc: int,
-    scale: float,
-    flags: int,
+    seed: int | np.random.SeedSequence | None,
 ) -> ConditionEstimate | list[ConditionEstimate]:
+    """Average a per-replication statistic over the grid; phi2 reads only
+    the center, so it draws no distance batch and reports inner_mc 0."""
+    ss = _seed_sequence(seed)
+    distances = kind != "phi2"
+    freqs = np.empty((reps, len(grid)))
+    flags = 0
+    for rep in range(reps):
+        run = replicate(model, signal, params, center_rule, inner_mc, ss, rep, distances=distances)
+        flags += run.flagged
+        freqs[rep] = statistic(run)
     values = freqs.mean(axis=0)
     if reps > 1:
         ses = freqs.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -243,7 +264,7 @@ def _collect(
             value=float(v),
             std_error=float(s),
             reps=reps,
-            inner_mc=inner_mc,
+            inner_mc=inner_mc if distances else 0,
             scale=float(scale),
             center_flags=flags,
         )

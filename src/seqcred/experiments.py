@@ -23,7 +23,6 @@ import math
 import os
 import time
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -31,19 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .credible import default_center, radius_from_distances
-from .diagnostics import estimate_phi1, estimate_psi
-from .model import ModelConfig, Signal, generate_signal, make_model, simulate
+from .credible import radius_from_distances
+from .diagnostics import CENTER_RULES, estimate_phi1, estimate_psi, replicate
+from .model import SIGNAL_KINDS, ModelConfig, Signal, generate_signal, make_model, simulate
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
-from .posterior import (
-    DdmParams,
-    DdmPosterior,
-    _prefix_draws,
-    _sq_dists_to_center,
-    mixture_weights,
-    posterior_mean,
-    shrunk_full_bayes,
-)
+from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -132,6 +123,17 @@ class ExperimentSpec:
             raise ValueError("reps, inner_mc, mc_samples and pilot_reps must be positive")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+        if self.center_rule not in CENTER_RULES:
+            raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {self.center_rule!r}")
+        if not self.p >= 0:
+            raise ValueError(f"p must be nonnegative, got {self.p}")
+        if isinstance(self.n_trunc, bool) or not isinstance(self.n_trunc, int) or self.n_trunc < 1:
+            raise ValueError(f"n_trunc must be a positive int, got {self.n_trunc!r}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be nonnegative, got {self.workers}")
+        for desc in self.signals:
+            if not (isinstance(desc, dict) and desc.get("kind") in SIGNAL_KINDS):
+                raise ValueError(f"each signal needs a kind in {SIGNAL_KINDS}, got {desc!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -247,16 +249,6 @@ def _cell_seq(spec: ExperimentSpec, cell_idx: int, *extra: int) -> np.random.See
 
 def _seq_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _rep_data_seed(spec: ExperimentSpec, cell_idx: int, rep: int, pilot: bool = False) -> int:
-    key = (_PILOT_KEY, cell_idx, rep, 0) if pilot else (cell_idx, rep, 0)
-    return _seq_int(np.random.SeedSequence(spec.master_seed, spawn_key=key))
-
-
-def _rep_rng(spec: ExperimentSpec, cell_idx: int, rep: int, pilot: bool = False) -> np.random.Generator:
-    key = (_PILOT_KEY, cell_idx, rep, 1) if pilot else (cell_idx, rep, 1)
-    return np.random.default_rng(np.random.SeedSequence(spec.master_seed, spawn_key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -469,53 +461,38 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
     return rows, summary
 
 
-def _coverage_rep(
-    spec: ExperimentSpec,
-    model: ModelConfig,
-    params: DdmParams,
-    signal: Signal,
-    theta0: np.ndarray,
-    cell_idx: int,
-    rep: int,
-    pilot: bool,
-) -> tuple[float, float, float]:
-    """One replication: (center gap, radius-hat, inner small-ball mass at
-    _DUALITY_DELTA times the oracle rate)."""
-    data = simulate(model, signal, _rep_data_seed(spec, cell_idx, rep, pilot=pilot))
-    rng = _rep_rng(spec, cell_idx, rep, pilot=pilot)
-    posterior = DdmPosterior(data=data, params=params, weights=mixture_weights(data, params))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dc = default_center(posterior, mc_samples=spec.mc_samples, seed=rng)
-    _, prefix = _prefix_draws(posterior, spec.mc_samples, rng)
-    dists = np.sqrt(_sq_dists_to_center(prefix, dc.center))
-    r_hat = radius_from_distances(dists, spec.kappa).value
-    gap = float(np.linalg.norm(theta0 - dc.center))
-    rate = oracle(signal, model).rate
-    small = float(np.mean(dists <= _DUALITY_DELTA * rate))
-    return gap, r_hat, small
-
-
-def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
-    """Pilot quantiles used to calibrate the inflation C and size threshold c."""
+def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float, pilot: bool):
+    """Replications of one coverage cell; the pilot pass has its own seed
+    namespace.  Returns (signal, EBR check, oracle rate, center gaps,
+    radius-hats, inner small-ball masses at _DUALITY_DELTA times the rate)."""
     signal = _build_signal(spec, sig_idx, eps)
     model, params = _model_and_params(spec, eps)
     theta0 = signal.padded(spec.n_trunc)
     rate = oracle(signal, model).rate
-    miss_ratios = np.empty(spec.pilot_reps)
-    size_ratios = np.empty(spec.pilot_reps)
-    for rep in range(spec.pilot_reps):
-        gap, r_hat, _ = _coverage_rep(spec, model, params, signal, theta0, cell_idx, rep, pilot=True)
-        miss_ratios[rep] = gap / r_hat if r_hat > 0 else math.inf
-        size_ratios[rep] = r_hat / rate
-    ebr = ebr_check(signal, model, spec.tau_ebr)
+    if pilot:
+        ss, reps = np.random.SeedSequence(spec.master_seed, spawn_key=(_PILOT_KEY, cell_idx)), spec.pilot_reps
+    else:
+        ss, reps = _cell_seq(spec, cell_idx), spec.reps
+    gaps, radii, smalls = np.empty(reps), np.empty(reps), np.empty(reps)
+    for rep in range(reps):
+        center, _, dists = replicate(model, signal, params, spec.center_rule, spec.mc_samples, ss, rep)
+        gaps[rep] = np.linalg.norm(theta0 - center)
+        radii[rep] = radius_from_distances(dists, spec.kappa).value
+        smalls[rep] = np.mean(dists <= _DUALITY_DELTA * rate)
+    return signal, ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls
+
+
+def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
+    """Pilot quantiles used to calibrate the inflation C and size threshold c."""
+    signal, ebr, rate, gaps, radii, _ = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=True)
+    miss_ratios = np.divide(gaps, radii, out=np.full(len(gaps), math.inf), where=radii > 0)
     return {
         "signal": _signal_label(signal),
         "epsilon": eps,
         "ebr_member": ebr.member,
         "ebr_ratio": ebr.ratio,
         "q98_miss_ratio": float(np.quantile(miss_ratios, 0.98)),
-        "q99_size_ratio": float(np.quantile(size_ratios, 0.99)),
+        "q99_size_ratio": float(np.quantile(radii / rate, 0.99)),
     }
 
 
@@ -527,19 +504,7 @@ def _cell_coverage_main(
     inflation: float,
     c_list: tuple,
 ):
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
-    theta0 = signal.padded(spec.n_trunc)
-    rate = oracle(signal, model).rate
-    ebr = ebr_check(signal, model, spec.tau_ebr)
-
-    gaps = np.empty(spec.reps)
-    radii = np.empty(spec.reps)
-    smalls = np.empty(spec.reps)
-    for rep in range(spec.reps):
-        gaps[rep], radii[rep], smalls[rep] = _coverage_rep(
-            spec, model, params, signal, theta0, cell_idx, rep, pilot=False
-        )
+    signal, ebr, rate, gaps, radii, smalls = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=False)
 
     def _freq_se(hits: np.ndarray) -> tuple[float, float]:
         f = float(hits.mean())
@@ -602,7 +567,7 @@ def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: 
 
     rel = np.empty((spec.reps, 4))  # mix-vs-truth, shr-vs-L*truth, mix-vs-L*truth, shr-vs-truth
     for rep in range(spec.reps):
-        data = simulate(model, signal, _rep_data_seed(spec, cell_idx, rep))
+        data = simulate(model, signal, _seq_int(_cell_seq(spec, cell_idx, rep, 0)))
         mix = posterior_mean(data, mixture_weights(data, params))[head][live]
         shr = shrunk_full_bayes(data, params).mean()[head][live]
         rel[rep, 0] = np.max(np.abs(mix - t_head) / np.abs(t_head))

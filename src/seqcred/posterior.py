@@ -277,45 +277,31 @@ def shrunk_full_bayes(data: ObservedData, params: DdmParams, i_max: int | None =
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Sampled components and coefficient vectors, one row per draw."""
+    """Sampled components and coefficient vectors, one row per draw.
+
+    Stored compactly: row r of ``prefix`` holds the first d_max coordinates
+    of draw r, where d_max is the largest sampled index.  Coordinates beyond
+    a row's own index are exact zeros, and every draw is exactly zero beyond
+    d_max, so distances computed from the prefix are exact.
+    """
 
     indices: np.ndarray  # (n_draws,), 1-based component index I
-    coeffs: np.ndarray  # (n_draws, n)
+    prefix: np.ndarray  # (n_draws, d_max)
+    n: int  # length of a full coefficient vector
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Full (n_draws, n) coefficient matrix, zero-padded on every read."""
+        out = np.zeros((len(self.indices), self.n))
+        out[:, : self.prefix.shape[1]] = self.prefix
+        return out
 
-def _draw_indices(posterior: DdmPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    w = posterior.weights.w
-    w = w / w.sum()
-    return rng.choice(posterior.weights.i_max, size=n_draws, p=w) + 1
-
-
-def _prefix_draws(
-    posterior: DdmPosterior, n_draws: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draws stored compactly: (indices, matrix of shape (n_draws, d_max)).
-
-    Row r holds the first d_max coordinates of draw r; coordinates beyond
-    the row's own index are exact zeros, and all draws are exactly zero
-    beyond d_max, so squared distances computed against the matrix plus a
-    tail correction are exact.
-    """
-    indices = _draw_indices(posterior, n_draws, rng)
-    d_max = int(indices.max())
-    model = posterior.data.model
-    mean = posterior.mean_factor * posterior.data.x[:d_max]
-    scale = math.sqrt(posterior.params.L) * model.sigma[:d_max]
-    mask = np.arange(1, d_max + 1)[None, :] <= indices[:, None]
-    z = rng.standard_normal((n_draws, d_max))
-    return indices, (mean[None, :] + scale[None, :] * z) * mask
-
-
-def _sq_dists_to_center(prefix: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distances from compact draws to a full-length center vector."""
-    d_max = prefix.shape[1]
-    head = center[:d_max]
-    tail_sq = float(np.sum(center[d_max:] ** 2))
-    diff = prefix - head[None, :]
-    return np.einsum("ij,ij->i", diff, diff) + tail_sq
+    def sq_dists(self, center: np.ndarray) -> np.ndarray:
+        """Squared distances from every draw to a full-length center vector."""
+        d_max = self.prefix.shape[1]
+        tail_sq = float(np.sum(center[d_max:] ** 2))
+        diff = self.prefix - center[None, :d_max]
+        return np.einsum("ij,ij->i", diff, diff) + tail_sq
 
 
 def sample_posterior(
@@ -328,8 +314,11 @@ def sample_posterior(
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     rng = as_generator(seed)
-    indices, prefix = _prefix_draws(posterior, n_draws, rng)
-    n = len(posterior.data)
-    coeffs = np.zeros((n_draws, n))
-    coeffs[:, : prefix.shape[1]] = prefix
-    return PosteriorDraws(indices=indices, coeffs=coeffs)
+    w = posterior.weights.w
+    indices = rng.choice(posterior.weights.i_max, size=n_draws, p=w / w.sum()) + 1
+    d_max = int(indices.max())
+    mean = posterior.mean_factor * posterior.data.x[:d_max]
+    scale = math.sqrt(posterior.params.L) * posterior.data.model.sigma[:d_max]
+    mask = np.arange(1, d_max + 1)[None, :] <= indices[:, None]
+    z = rng.standard_normal((n_draws, d_max))
+    return PosteriorDraws(indices=indices, prefix=(mean + scale * z) * mask, n=len(posterior.data))

@@ -378,10 +378,28 @@ class TestExperimentPlumbing:
         run_cli(["experiment", "--kind", "contraction", "--threads", "2"], capsys)
         assert capture_spec[0].workers == 2
 
-    def test_env_threads_fallback(self, capture_spec, monkeypatch, capsys):
+    @staticmethod
+    def _workers_of_tiny_run(tmp_path, capsys):
+        """Resolved worker count printed by a one-cell run, which never
+        starts a process pool whatever the count."""
+        spec = default_spec(
+            "scale-adaptation", scales=default_spec("scale-adaptation").scales[:1],
+            eps_grid=(0.1,), n_trunc=64, n_cover_samples=5,
+        )
+        cfg = tmp_path / "one-cell.json"
+        cfg.write_text(spec.to_json())
+        code, out, _ = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 0
+        return json.loads(out)["runtime"]["workers"]
+
+    def test_env_threads_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DDM_THREADS", "5")
-        run_cli(["experiment", "--kind", "contraction"], capsys)
-        assert capture_spec[0].workers == 5
+        assert self._workers_of_tiny_run(tmp_path, capsys) == 5
+
+    def test_superscript_env_threads_fall_back_to_one(self, tmp_path, monkeypatch, capsys):
+        # superscript two passes str.isdigit() but not int()
+        monkeypatch.setenv("DDM_THREADS", "\u00b2")
+        assert self._workers_of_tiny_run(tmp_path, capsys) == 1
 
     def test_junk_env_threads_ignored(self, capture_spec, monkeypatch, capsys):
         monkeypatch.setenv("DDM_THREADS", "five")

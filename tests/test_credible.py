@@ -13,7 +13,6 @@ from seqcred import (
     CredibleBall,
     DdmParams,
     RadiusEstimate,
-    contains,
     default_center,
     eb_index,
     generate_signal,
@@ -187,7 +186,7 @@ class TestCredibleBall:
         ball = make_confidence_ball(np.zeros(2), 0.7)
         assert ball.radius == 0.7
         assert math.isnan(ball.level)
-        assert contains(ball, np.zeros(2))
+        assert ball.contains(np.zeros(2))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -5,6 +5,7 @@ whole module stays fast; statistical assertions at the published scale live
 in the acceptance suite.
 """
 
+import dataclasses
 import json
 import math
 
@@ -76,6 +77,16 @@ class TestSpec:
         dict(kind="contraction", signals=({"kind": "zero"},), eps_grid=(0.0,)),
         dict(kind="contraction", signals=({"kind": "zero"},), kappa=1.0),
         dict(kind="contraction", signals=({"kind": "zero"},), reps=0),
+        dict(kind="contraction", signals=({"kind": "zero"},), center_rule="mode"),
+        dict(kind="contraction", signals=({"kind": "zero"},), p=-0.5),
+        dict(kind="contraction", signals=({"kind": "zero"},), p=math.nan),
+        dict(kind="contraction", signals=({"kind": "zero"},), n_trunc=0),
+        dict(kind="contraction", signals=({"kind": "zero"},), n_trunc=96.0),
+        dict(kind="contraction", signals=({"kind": "zero"},), n_trunc=True),
+        dict(kind="contraction", signals=({"kind": "zero"},), workers=-3),
+        dict(kind="contraction", signals=({"kind": "sobolev"},)),
+        dict(kind="contraction", signals=({"params": {}},)),
+        dict(kind="contraction", signals=("zero",)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -202,6 +213,14 @@ class TestCoverageCells:
         for name in ("coverage_ok", "size_ok", "duality_ok", "acceptance_ok"):
             assert isinstance(s[name], bool)
         assert s["deceptive_separated"] is None  # no deceptive cell in this panel
+
+    def test_center_rule_reaches_coverage_rows(self, coverage_report):
+        spec = dataclasses.replace(coverage_report.spec, center_rule="posterior-mean")
+        rows = run_experiment(spec).cells
+        radius = [r["statistic"] for r in rows if r["kind"] == "coverage-size:radius-mean"]
+        default = [r["statistic"] for r in coverage_report.cells if r["kind"] == "coverage-size:radius-mean"]
+        assert len(radius) == len(default) == 2
+        assert all(a != b for a, b in zip(radius, default))
 
     def test_pinned_calibration_skips_pilot(self):
         spec = default_spec(

@@ -31,7 +31,6 @@ from seqcred import (
     simulate,
     validate_params,
 )
-from seqcred.posterior import _prefix_draws, _sq_dists_to_center
 
 from conftest import rng_datasets
 
@@ -249,13 +248,11 @@ class TestSampling:
     def test_compact_distance_helper_is_exact(self, small_data, params):
         post = make_posterior(small_data, params)
         rng = np.random.default_rng(3)
-        indices, prefix = _prefix_draws(post, 40, rng)
+        draws = sample_posterior(post, 40, rng)
+        assert draws.prefix.shape == (40, draws.indices.max())
         center = rng.standard_normal(256)
-        got = _sq_dists_to_center(prefix, center)
-        full = np.zeros((40, 256))
-        full[:, : prefix.shape[1]] = prefix
-        want = np.sum((full - center[None, :]) ** 2, axis=1)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        want = np.sum((draws.coeffs - center[None, :]) ** 2, axis=1)
+        np.testing.assert_allclose(draws.sq_dists(center), want, rtol=1e-12)
 
     def test_rejects_zero_draws(self, small_data, params):
         with pytest.raises(ValueError):

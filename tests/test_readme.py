@@ -1,0 +1,14 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.splitlines()[0] in ("True", "False")
