@@ -36,6 +36,8 @@ DEFAULT_P_LEVEL = 2.0 / 3.0
 DEFAULT_VARSIGMA = 0.5
 #: index weights below this are ignored when collecting center candidates
 CANDIDATE_WEIGHT_FLOOR = 1e-3
+#: candidates ranked within this relative distance of the best are re-scored exactly
+_RESCORE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,24 +52,32 @@ class RadiusEstimate:
             raise ValueError("radius and its standard error must be nonnegative")
 
 
-def radius_from_distances(distances: np.ndarray, kappa: float) -> RadiusEstimate:
-    """Empirical DD-radius from a sample of distances.
-
-    Returns the order statistic at rank ceil((1-kappa) m); the standard
-    error is half the spread between the order statistics at the usual
-    binomial-CI ranks around that quantile.
-    """
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0,1), got {kappa}")
-    d = np.sort(np.asarray(distances, dtype=float))
-    m = len(d)
-    if m < 1:
-        raise ValueError("need at least one distance")
+def _order_ranks(m: int, kappa: float) -> tuple[int, int, int]:
+    """1-based ranks of the radius and of its binomial-CI bounds among m."""
     q = 1.0 - kappa
     rank = min(max(math.ceil(q * m), 1), m)
     half = math.sqrt(m * q * (1.0 - q))
     lo = min(max(math.ceil(q * m - half), 1), m)
     hi = min(max(math.ceil(q * m + half), 1), m)
+    return rank, lo, hi
+
+
+def radius_from_distances(distances: np.ndarray, kappa: float) -> RadiusEstimate:
+    """Empirical DD-radius from a sample of distances.
+
+    Returns the order statistic at rank ceil((1-kappa) m); the standard
+    error is half the spread between the order statistics at the usual
+    binomial-CI ranks around that quantile.  One partial partition places
+    all three order statistics.
+    """
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must lie in (0,1), got {kappa}")
+    d = np.asarray(distances, dtype=float)
+    m = len(d)
+    if m < 1:
+        raise ValueError("need at least one distance")
+    rank, lo, hi = _order_ranks(m, kappa)
+    d = np.partition(d, sorted({lo - 1, rank - 1, hi - 1}))
     return RadiusEstimate(
         value=float(d[rank - 1]),
         level=float(kappa),
@@ -136,6 +146,12 @@ def default_center(
     1e-3.  All candidates are ranked on one shared set of draws so the
     comparison is exact; the winner's ball, inflated by (1+varsigma), is
     then checked to hold mass >= p_level on an independent fresh batch.
+
+    The projection candidates are ranked together from prefix sums over the
+    draws (``PosteriorDraws.projection_sq_dists``).  Every candidate within
+    a relative _RESCORE_RTOL of the best ranked radius is then re-scored
+    with ``sq_dists``, and the reported winner and radius come from those
+    exact distances: the smallest value, the earlier candidate on a tie.
     """
     if not 0.0 < p_level < 1.0:
         raise ValueError(f"p_level must lie in (0,1), got {p_level}")
@@ -146,28 +162,36 @@ def default_center(
     rng = as_generator(seed)
     n = len(posterior.data)
 
-    candidates: list[tuple[str, np.ndarray]] = [("posterior-mean", posterior.mean())]
     i_hat = eb_index(posterior.weights)
     live = set(np.flatnonzero(posterior.weights.w >= CANDIDATE_WEIGHT_FLOOR) + 1)
     live.add(i_hat)
-    for i in sorted(live):
-        tag = f"projection-{i}" + ("(mode)" if i == i_hat else "")
-        candidates.append((tag, posterior.component_mean(i)))
+    levels = sorted(live)
+    tags = ["posterior-mean"] + [f"projection-{i}" + ("(mode)" if i == i_hat else "") for i in levels]
 
     draws = sample_posterior(posterior, mc_samples, rng)
     kappa = 1.0 - p_level
-    best: tuple[float, int] | None = None  # (radius value, candidate position)
-    estimates: list[RadiusEstimate] = []
-    for pos, (_, cand) in enumerate(candidates):
-        est = radius_from_distances(np.sqrt(draws.sq_dists(cand)), kappa)
-        estimates.append(est)
-        if best is None or est.value < best[0]:
-            best = (est.value, pos)
+    mean = posterior.mean()
+    at_mean = radius_from_distances(np.sqrt(draws.sq_dists(mean)), kappa)
+    proj_sq = draws.projection_sq_dists(posterior.mean_factor * posterior.data.x, levels)
+    rank, _, _ = _order_ranks(mc_samples, kappa)
+    proj_sq.partition(rank - 1, axis=1)
+    ranked = np.concatenate(([at_mean.value], np.sqrt(proj_sq[:, rank - 1])))
+
+    # exact re-scoring of the near-best candidates, in candidate order
+    cutoff = ranked.min() * (1.0 + _RESCORE_RTOL)
+    best: tuple[RadiusEstimate, int, np.ndarray] | None = None
+    for pos in np.flatnonzero(ranked <= cutoff):
+        if pos == 0:
+            est, cand = at_mean, mean
+        else:
+            cand = posterior.component_mean(levels[pos - 1])
+            est = radius_from_distances(np.sqrt(draws.sq_dists(cand)), kappa)
+        if best is None or est.value < best[0].value:
+            best = (est, int(pos), cand)
 
     assert best is not None
-    _, win = best
-    tag, center = candidates[win]
-    r_star = estimates[win]
+    r_star, win, center = best
+    tag = tags[win]
 
     # fresh draws for the honesty check of the inflated ball
     fresh_d = np.sqrt(sample_posterior(posterior, mc_samples, rng).sq_dists(center))
@@ -188,8 +212,8 @@ def default_center(
         varsigma=varsigma,
         verified=verified,
         mass_at_inflated=mass,
-        candidates_evaluated=len(candidates),
-        radius_at_mean=estimates[0].value,
+        candidates_evaluated=len(tags),
+        radius_at_mean=at_mean.value,
     )
 
 

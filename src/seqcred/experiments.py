@@ -73,6 +73,17 @@ _PILOT_KEY = 782134
 _SIGNAL_KEY = 550927
 #: delta at which the in-cell miss/size duality is tabulated
 _DUALITY_DELTA = 0.5
+#: spec fields that must hold an int, a real, a real or None, or a tuple of reals
+_INT_FIELDS = ("n_trunc", "n_cover_samples", "reps", "inner_mc", "mc_samples", "pilot_reps",
+               "master_seed", "signal_seed", "workers")
+_REAL_FIELDS = ("p", "K", "alpha", "kappa", "tau_ebr")
+_OPTIONAL_REAL_FIELDS = ("coverage_inflation", "size_threshold")
+_GRID_FIELDS = ("eps_grid", "m_grid", "delta_grid", "size_c_grid")
+
+
+def _is_number(value, kind: type | tuple) -> bool:
+    """JSON-serializable numbers only; bool is an int subclass but no number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,16 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         for name in ("signals", "eps_grid", "m_grid", "delta_grid", "size_c_grid", "scales"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in _INT_FIELDS:
+            if not _is_number(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS + _OPTIONAL_REAL_FIELDS:
+            value = getattr(self, name)
+            if not (_is_number(value, (int, float)) or (value is None and name in _OPTIONAL_REAL_FIELDS)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in _GRID_FIELDS:
+            if not all(_is_number(v, (int, float)) for v in getattr(self, name)):
+                raise ValueError(f"{name} must hold numbers only, got {list(getattr(self, name))!r}")
         if self.kind == "scale-adaptation":
             if not self.scales:
                 raise ValueError("scale-adaptation needs a nonempty scales tuple")
@@ -127,7 +148,7 @@ class ExperimentSpec:
             raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {self.center_rule!r}")
         if not self.p >= 0:
             raise ValueError(f"p must be nonnegative, got {self.p}")
-        if isinstance(self.n_trunc, bool) or not isinstance(self.n_trunc, int) or self.n_trunc < 1:
+        if self.n_trunc < 1:
             raise ValueError(f"n_trunc must be a positive int, got {self.n_trunc!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
@@ -464,7 +485,8 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
 def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float, pilot: bool):
     """Replications of one coverage cell; the pilot pass has its own seed
     namespace.  Returns (signal, EBR check, oracle rate, center gaps,
-    radius-hats, inner small-ball masses at _DUALITY_DELTA times the rate)."""
+    radius-hats, inner small-ball masses at _DUALITY_DELTA times the rate,
+    count of failed default-center verifications)."""
     signal = _build_signal(spec, sig_idx, eps)
     model, params = _model_and_params(spec, eps)
     theta0 = signal.padded(spec.n_trunc)
@@ -474,17 +496,19 @@ def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float
     else:
         ss, reps = _cell_seq(spec, cell_idx), spec.reps
     gaps, radii, smalls = np.empty(reps), np.empty(reps), np.empty(reps)
+    flags = 0
     for rep in range(reps):
-        center, _, dists = replicate(model, signal, params, spec.center_rule, spec.mc_samples, ss, rep)
+        center, flagged, dists = replicate(model, signal, params, spec.center_rule, spec.mc_samples, ss, rep)
+        flags += flagged
         gaps[rep] = np.linalg.norm(theta0 - center)
         radii[rep] = radius_from_distances(dists, spec.kappa).value
         smalls[rep] = np.mean(dists <= _DUALITY_DELTA * rate)
-    return signal, ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls
+    return signal, ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls, flags
 
 
 def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
     """Pilot quantiles used to calibrate the inflation C and size threshold c."""
-    signal, ebr, rate, gaps, radii, _ = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=True)
+    signal, ebr, rate, gaps, radii, _, flags = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=True)
     miss_ratios = np.divide(gaps, radii, out=np.full(len(gaps), math.inf), where=radii > 0)
     return {
         "signal": _signal_label(signal),
@@ -493,6 +517,7 @@ def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps:
         "ebr_ratio": ebr.ratio,
         "q98_miss_ratio": float(np.quantile(miss_ratios, 0.98)),
         "q99_size_ratio": float(np.quantile(radii / rate, 0.99)),
+        "center_flags": flags,
     }
 
 
@@ -504,7 +529,7 @@ def _cell_coverage_main(
     inflation: float,
     c_list: tuple,
 ):
-    signal, ebr, rate, gaps, radii, smalls = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=False)
+    signal, ebr, rate, gaps, radii, smalls, flags = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=False)
 
     def _freq_se(hits: np.ndarray) -> tuple[float, float]:
         f = float(hits.mean())
@@ -546,6 +571,7 @@ def _cell_coverage_main(
         "duality_ok": duality_ok,
         "oracle_rate": rate,
         "radius_mean": float(radii.mean()),
+        "center_flags": flags,
     }
     return rows, summary
 

@@ -283,6 +283,12 @@ class PosteriorDraws:
     of draw r, where d_max is the largest sampled index.  Coordinates beyond
     a row's own index are exact zeros, and every draw is exactly zero beyond
     d_max, so distances computed from the prefix are exact.
+
+    Two distance routes: ``sq_dists`` measures every draw against one
+    full-length center, and ``projection_sq_dists`` measures every draw
+    against all the nested projection centers X(I) at once from prefix sums,
+    which is how the default center ranks its candidates before reporting
+    the winner from ``sq_dists``.
     """
 
     indices: np.ndarray  # (n_draws,), 1-based component index I
@@ -303,6 +309,37 @@ class PosteriorDraws:
         diff = self.prefix - center[None, :d_max]
         return np.einsum("ij,ij->i", diff, diff) + tail_sq
 
+    def projection_sq_dists(self, x: np.ndarray, levels) -> np.ndarray:
+        """Squared distances from every draw to X(I) = (x_1..x_I, 0, ...),
+        one row per level I, as a (len(levels), n_draws) matrix.
+
+        With d = d_max and k = min(I, d), every term is a sum of nonnegative
+        parts, so nothing cancels:
+        ||theta - X(I)||^2 = sum_{i<=k} (theta_i - x_i)^2 + sum_{k<i<=d} theta_i^2
+                             + sum_{d<i<=I} x_i^2.
+        The first two sums come from a row-wise and a reversed row-wise
+        cumulative sum sharing one (n_draws, d) buffer.  Agrees with
+        ``sq_dists`` to rounding, not bit for bit.
+        """
+        levels = np.asarray(levels, dtype=np.intp)
+        d = self.prefix.shape[1]
+        if levels.size and not (levels.min() >= 1 and levels.max() <= len(x)):
+            raise ValueError(f"levels must lie in [1, {len(x)}]")
+        k = np.minimum(levels, d)
+        buf = np.subtract(self.prefix, x[None, :d])
+        np.square(buf, out=buf)
+        np.cumsum(buf, axis=1, out=buf)
+        out = buf[:, k - 1].T.copy()
+        np.square(self.prefix[:, ::-1], out=buf)
+        np.cumsum(buf, axis=1, out=buf)
+        inner = k < d
+        out[inner] += buf[:, d - 1 - k[inner]].T
+        outer = levels > d
+        if np.any(outer):
+            beyond = np.cumsum(x[d : levels.max()] ** 2)
+            out[outer] += beyond[levels[outer] - d - 1][:, None]
+        return out
+
 
 def sample_posterior(
     posterior: DdmPosterior,
@@ -310,7 +347,11 @@ def sample_posterior(
     seed: int | np.random.SeedSequence | np.random.Generator | None,
 ) -> PosteriorDraws:
     """Draw (I, theta) pairs: I from the index posterior, then theta from
-    component I.  Coordinates beyond I are exact zeros."""
+    component I.  Coordinates beyond I are exact zeros.
+
+    The draws are built in place on the normals array, so the only matrix
+    held beside them is the boolean mask.
+    """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     rng = as_generator(seed)
@@ -321,4 +362,7 @@ def sample_posterior(
     scale = math.sqrt(posterior.params.L) * posterior.data.model.sigma[:d_max]
     mask = np.arange(1, d_max + 1)[None, :] <= indices[:, None]
     z = rng.standard_normal((n_draws, d_max))
-    return PosteriorDraws(indices=indices, prefix=(mean + scale * z) * mask, n=len(posterior.data))
+    z *= scale
+    z += mean
+    z *= mask
+    return PosteriorDraws(indices=indices, prefix=z, n=len(posterior.data))

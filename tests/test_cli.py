@@ -418,6 +418,22 @@ class TestExperimentPlumbing:
         assert code == 1
         assert "seqcred experiment:" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("workers", "2"),
+        ("reps", "3"),
+        ("p", "0"),
+        ("kappa", "0.5"),
+        ("eps_grid", ["0.1"]),
+    ])
+    def test_non_numeric_config_value_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": "contraction", key: value}))
+        code, out, err = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"seqcred experiment: {key} must")
+        assert err.count("\n") == 1
+
 
 class TestExperimentRuns:
     """Small real runs pin down the --check exit-code contract."""

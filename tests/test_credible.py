@@ -22,6 +22,7 @@ from seqcred import (
     mixture_weights,
     radius_at_level,
     radius_from_distances,
+    sample_posterior,
     simulate,
 )
 from seqcred.model import ObservedData
@@ -151,6 +152,88 @@ class TestDefaultCenter:
         post = make_posterior(small_data, params)
         with pytest.raises(ValueError):
             default_center(post, **kwargs)
+
+
+def brute_force_default_center(post, mc_samples, seed, p_level=2.0 / 3.0, varsigma=0.5):
+    """Reference: score every candidate from its own ``sq_dists`` vector and
+    a full sort, keeping the first strict minimum."""
+    rng = np.random.default_rng(seed)
+    w = post.weights.w
+    i_hat = eb_index(post.weights)
+    levels = sorted(set(np.flatnonzero(w >= 1e-3) + 1) | {i_hat})
+    cands = [("posterior-mean", post.mean())] + [
+        (f"projection-{i}" + ("(mode)" if i == i_hat else ""), post.component_mean(i)) for i in levels
+    ]
+    q = p_level
+    rank = min(max(math.ceil(q * mc_samples), 1), mc_samples)
+    half = math.sqrt(mc_samples * q * (1.0 - q))
+    lo = min(max(math.ceil(q * mc_samples - half), 1), mc_samples)
+    hi = min(max(math.ceil(q * mc_samples + half), 1), mc_samples)
+    draws = sample_posterior(post, mc_samples, rng)
+    scores = []
+    for _, c in cands:
+        d = np.sort(np.sqrt(draws.sq_dists(c)))
+        scores.append((float(d[rank - 1]), float(d[hi - 1] - d[lo - 1]) / 2.0))
+    win = min(range(len(cands)), key=lambda k: (scores[k][0], k))
+    tag, center = cands[win]
+    fresh = np.sqrt(sample_posterior(post, mc_samples, rng).sq_dists(center))
+    mass = float(np.mean(fresh <= (1.0 + varsigma) * scores[win][0]))
+    return tag, center, scores[win], mass, scores[0][0], len(cands)
+
+
+def assert_matches_brute_force(post, seed, p_level=2.0 / 3.0):
+    """Same tag and center, and bit-equal radius, standard error, inflated
+    mass and radius at the mean, as the brute-force reference."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = default_center(post, p_level=p_level, mc_samples=1000, seed=seed)
+    tag, center, (value, std_error), mass, at_mean, n_cands = brute_force_default_center(post, 1000, seed, p_level)
+    assert (res.candidate, res.radius.value, res.radius.std_error) == (tag, value, std_error)
+    assert (res.mass_at_inflated, res.radius_at_mean, res.candidates_evaluated) == (mass, at_mean, n_cands)
+    np.testing.assert_array_equal(res.center, center)
+    return res
+
+
+class TestDefaultCenterMatchesBruteForce:
+    """The prefix-sum ranking reports exactly what scoring every candidate
+    from its own distances reports."""
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("signal_kind, signal_params", [
+        ("zero", {}),
+        ("sobolev-boundary", {"beta": 1.0, "Q": 1.0}),
+        ("analytic", {"c": 1.0, "d": 1.0, "Q": 1.0}),
+        ("parametric", {"N0": 3, "Q": 4.0}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_reference(self, params, p, signal_kind, signal_params, seed):
+        n = 128
+        signal = generate_signal(signal_kind, signal_params, n_trunc=n)
+        post = make_posterior(simulate(make_model(0.1, p, n), signal, seed=100 + seed), params)
+        assert_matches_brute_force(post, seed)
+
+    @pytest.mark.parametrize("x21", [0.2, 0.35, 0.45, 0.5])
+    @pytest.mark.parametrize("p_level", [0.2, 2.0 / 3.0, 0.9])
+    def test_projection_winners(self, params, x21, p_level):
+        """A sharp cutoff at 3 plus one mid-sized coefficient at 21 splits
+        the index posterior, so projection centers win at some levels."""
+        x = np.zeros(64)
+        x[:3] = 5.0
+        x[20] = x21
+        post = make_posterior(ObservedData(x=x, model=make_model(0.1, 0.0, 64), seed=None), params)
+        assert_matches_brute_force(post, 0, p_level)
+
+    @pytest.mark.parametrize("seed", [3, 5, 7, 8])
+    def test_exact_tie_goes_to_the_mean(self, small_data, params, seed):
+        """Under a point-mass index posterior the mean is the mode's
+        projection center, and the earlier candidate wins the tie.  At seeds
+        5, 7 and 8 the prefix-sum radius of the projection rounds one ulp
+        below the mean's, so only the exact re-scoring keeps the mean."""
+        res = assert_matches_brute_force(make_posterior(small_data, params, variant="eb-index"), seed)
+        assert res.candidate == "posterior-mean"
+
+    def test_shrunk_variant(self, small_data, params):
+        assert_matches_brute_force(make_posterior(small_data, params, variant="full-bayes-shrunk"), 5)
 
 
 class TestCredibleBall:

@@ -6,6 +6,7 @@ in the acceptance suite.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -87,6 +88,15 @@ class TestSpec:
         dict(kind="contraction", signals=({"kind": "sobolev"},)),
         dict(kind="contraction", signals=({"params": {}},)),
         dict(kind="contraction", signals=("zero",)),
+        dict(kind="contraction", signals=({"kind": "zero"},), workers="2"),
+        dict(kind="contraction", signals=({"kind": "zero"},), reps="3"),
+        dict(kind="contraction", signals=({"kind": "zero"},), p="0"),
+        dict(kind="contraction", signals=({"kind": "zero"},), kappa="0.5"),
+        dict(kind="contraction", signals=({"kind": "zero"},), eps_grid=("0.1",)),
+        dict(kind="contraction", signals=({"kind": "zero"},), master_seed=1.5),
+        dict(kind="contraction", signals=({"kind": "zero"},), K=None),
+        dict(kind="contraction", signals=({"kind": "zero"},), coverage_inflation="2"),
+        dict(kind="contraction", signals=({"kind": "zero"},), reps=True),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -221,6 +231,23 @@ class TestCoverageCells:
         default = [r["statistic"] for r in coverage_report.cells if r["kind"] == "coverage-size:radius-mean"]
         assert len(radius) == len(default) == 2
         assert all(a != b for a, b in zip(radius, default))
+
+    def test_center_flags_counted_outside_the_csv(self, coverage_report, tmp_path, monkeypatch):
+        """Failed center verifications are counted per cell in the summary,
+        and the count never reaches the CSV: a run where every verification
+        fails writes the same bytes as the real run."""
+        from seqcred import experiments
+
+        real = experiments.replicate
+        monkeypatch.setattr(experiments, "replicate", lambda *a, **k: real(*a, **k)._replace(flagged=True))
+        flagged = run_experiment(coverage_report.spec)
+        spec = coverage_report.spec
+        assert [c["center_flags"] for c in coverage_report.summary["cells"]] == [0, 0]
+        assert [c["center_flags"] for c in flagged.summary["cells"]] == [spec.reps, spec.reps]
+        assert [c["center_flags"] for c in flagged.summary["pilot_cells"]] == [spec.pilot_reps] * 2
+        a = write_report(coverage_report, "csv", tmp_path / "real.csv").read_bytes()
+        b = write_report(flagged, "csv", tmp_path / "flagged.csv").read_bytes()
+        assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest()
 
     def test_pinned_calibration_skips_pilot(self):
         spec = default_spec(

@@ -254,6 +254,30 @@ class TestSampling:
         want = np.sum((draws.coeffs - center[None, :]) ** 2, axis=1)
         np.testing.assert_allclose(draws.sq_dists(center), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["mixture", "full-bayes-shrunk"])
+    def test_projection_distances_match_sq_dists(self, params, p, variant):
+        """Prefix-sum distances to X(I) equal the one-center kernel to
+        rounding, below, at and beyond the largest sampled index."""
+        n = 256
+        model = make_model(0.1, p, n)
+        signal = generate_signal("parametric", {"N0": 3, "Q": 4.0}, n_trunc=n)
+        post = make_posterior(simulate(model, signal, seed=17), params, variant=variant)
+        draws = sample_posterior(post, 500, seed=4)
+        d_max = draws.prefix.shape[1]
+        levels = sorted({1, max(1, d_max // 2), d_max, min(n, d_max + 1), n})
+        got = draws.projection_sq_dists(post.mean_factor * post.data.x, levels)
+        assert got.shape == (len(levels), 500)
+        for row, i in zip(got, levels):
+            np.testing.assert_allclose(row, draws.sq_dists(post.component_mean(i)), rtol=1e-12)
+
+    def test_projection_distances_reject_bad_levels(self, small_data, params):
+        draws = sample_posterior(make_posterior(small_data, params), 20, seed=1)
+        with pytest.raises(ValueError):
+            draws.projection_sq_dists(small_data.x, [0, 3])
+        with pytest.raises(ValueError):
+            draws.projection_sq_dists(small_data.x, [len(small_data) + 1])
+
     def test_rejects_zero_draws(self, small_data, params):
         with pytest.raises(ValueError):
             sample_posterior(make_posterior(small_data, params), 0, seed=1)
