@@ -19,7 +19,7 @@ import numpy as np
 
 from .credible import default_center
 from .model import ModelConfig, Signal, simulate
-from .oracle import oracle, surrogate_oracle
+from .oracle import oracle, sigma_constants, surrogate_oracle
 from .posterior import DdmParams, DdmPosterior, make_posterior, mixture_weights, sample_posterior
 
 __all__ = [
@@ -479,20 +479,11 @@ def contraction_constant_reference(K: float = 2.0, alpha: float = 0.04, p: float
         + math.exp(-(1.0 + alpha + b)) / (1.0 - math.exp(-(alpha + b)))
     )
     gamma = alpha / 20.0
-    tau = 2.0 ** (1.0 + 1.0 / (2.0 * p + 1.0))
-    k2_tau = (tau + 1.0) ** (2.0 * p + 1.0)
-    k4 = 0.5
-    k5_tau = (2.0 * tau) ** (-2.0 * p)
-    tau2 = 10.0 * tau / (9.0 * alpha * (tau - 2.0) * k4 * k5_tau)
-
-    def k3(g: float) -> float:
-        return (
-            4.0
-            * (8.0 * p + 4.0) ** (2.0 * p)
-            / ((math.e * g) ** (2.0 * p + 1.0) * (math.exp(g / 2.0) - 1.0))
-        )
-
-    total = c2 + 1.0 + 2.0 * k2_tau + 2.0 * (1.0 + tau2) + 1.0 + k3(gamma) + math.sqrt(3.0) * k3(gamma / 2.0)
+    tau = sigma_constants(p).tau
+    sc = sigma_constants(p, rho=tau, gamma=gamma, tau0=tau)
+    k3_half = sigma_constants(p, gamma=gamma / 2.0).k3
+    tau2 = 10.0 * tau / (9.0 * alpha * (tau - 2.0) * sc.k4 * sc.k5)
+    total = c2 + 1.0 + 2.0 * sc.k2 + 2.0 * (1.0 + tau2) + 1.0 + sc.k3 + math.sqrt(3.0) * k3_half
     return {
         "K": K,
         "alpha": alpha,
@@ -500,9 +491,9 @@ def contraction_constant_reference(K: float = 2.0, alpha: float = 0.04, p: float
         "c2": c2,
         "gamma": gamma,
         "tau": tau,
-        "k2_tau": k2_tau,
+        "k2_tau": sc.k2,
         "tau2": tau2,
-        "k3_gamma": k3(gamma),
-        "k3_half_gamma": k3(gamma / 2.0),
+        "k3_gamma": sc.k3,
+        "k3_half_gamma": k3_half,
         "c_oracle": total,
     }

@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,15 +48,6 @@ __all__ = [
     "emit_plot_data",
 ]
 
-EXPERIMENT_KINDS = (
-    "contraction",
-    "oracle-inequality",
-    "small-ball",
-    "coverage-size",
-    "overshrinkage",
-    "scale-adaptation",
-)
-
 CSV_COLUMNS = (
     "kind",
     "signal_kind",
@@ -74,7 +66,7 @@ _SIGNAL_KEY = 550927
 #: delta at which the in-cell miss/size duality is tabulated
 _DUALITY_DELTA = 0.5
 #: spec fields that must hold an int, a real, a real or None, or a tuple of reals
-_INT_FIELDS = ("n_trunc", "n_cover_samples", "reps", "inner_mc", "mc_samples", "pilot_reps",
+_INT_FIELDS = ("n_trunc", "n_cover_samples", "reps", "inner_mc", "pilot_reps",
                "master_seed", "signal_seed", "workers")
 _REAL_FIELDS = ("p", "K", "alpha", "kappa", "tau_ebr")
 _OPTIONAL_REAL_FIELDS = ("coverage_inflation", "size_threshold")
@@ -109,7 +101,6 @@ class ExperimentSpec:
     n_cover_samples: int = 200
     reps: int = 500
     inner_mc: int = 2000
-    mc_samples: int = 2000
     pilot_reps: int = 200
     master_seed: int = 0
     signal_seed: int = 7
@@ -138,23 +129,38 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind} needs a nonempty signals tuple")
         if not self.eps_grid:
             raise ValueError("eps_grid must be nonempty")
-        if any(e <= 0 for e in self.eps_grid):
-            raise ValueError("all eps values must be positive")
-        if self.reps < 1 or self.inner_mc < 1 or self.mc_samples < 1 or self.pilot_reps < 1:
-            raise ValueError("reps, inner_mc, mc_samples and pilot_reps must be positive")
+        if self.reps < 1 or self.inner_mc < 1 or self.pilot_reps < 1:
+            raise ValueError("reps, inner_mc and pilot_reps must be positive")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
         if self.center_rule not in CENTER_RULES:
             raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {self.center_rule!r}")
         if not self.p >= 0:
             raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.n_trunc < 1:
-            raise ValueError(f"n_trunc must be a positive int, got {self.n_trunc!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
         for desc in self.signals:
             if not (isinstance(desc, dict) and desc.get("kind") in SIGNAL_KINDS):
                 raise ValueError(f"each signal needs a kind in {SIGNAL_KINDS}, got {desc!r}")
+        for desc in self.scales:
+            if not isinstance(desc, dict):
+                raise ValueError(f"each scale must be a dict with a name, got {desc!r}")
+        if not all(0 < d < 1 for d in self.delta_grid):
+            raise ValueError(f"delta_grid values must lie in (0, 1), got {list(self.delta_grid)!r}")
+        # build every model, signal and scale now (make_model also rejects a
+        # nonpositive or NaN eps and n_trunc < 1), so that a bad entry fails
+        # the spec rather than a cell halfway through a run
+        for eps in self.eps_grid:
+            make_model(eps, self.p, self.n_trunc)
+        DdmParams(K=self.K, alpha=self.alpha)
+        try:
+            for i, desc in enumerate(self.signals):
+                for eps in self.eps_grid:
+                    _build_signal(self, i, eps)
+            for desc in self.scales:
+                scale_class(desc.get("name"), dict(desc.get("params", {})), self.n_trunc)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"bad entry {desc!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {}
@@ -233,32 +239,9 @@ _STANDARD_SCALES = (
 
 def default_spec(kind: str, **overrides) -> ExperimentSpec:
     """Ready-made spec for each experiment kind, override anything by name."""
-    base: dict
-    if kind == "contraction":
-        base = dict(
-            kind=kind,
-            signals=({"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},),
-            eps_grid=(0.05,),
-        )
-    elif kind == "oracle-inequality":
-        base = dict(kind=kind, signals=_RATE_SIGNALS, eps_grid=(0.1, 0.05, 0.02, 0.01))
-    elif kind == "small-ball":
-        base = dict(kind=kind, signals=({"kind": "zero", "params": {}},), eps_grid=(0.05,))
-    elif kind == "coverage-size":
-        base = dict(kind=kind, signals=_COVERAGE_SIGNALS, eps_grid=(0.1,))
-    elif kind == "overshrinkage":
-        base = dict(
-            kind=kind,
-            signals=({"kind": "parametric", "params": {"N0": 3, "Q": 4.0}},),
-            eps_grid=(0.001,),
-            reps=50,
-        )
-    elif kind == "scale-adaptation":
-        base = dict(kind=kind, scales=_STANDARD_SCALES, eps_grid=(0.1, 0.05))
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    return ExperimentSpec(**{"kind": kind, **_KINDS[kind].defaults, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +257,6 @@ def _seq_int(ss: np.random.SeedSequence) -> int:
 
 # ---------------------------------------------------------------------------
 # cell plumbing
-
-def _signal_cells(spec: ExperimentSpec) -> list:
-    if spec.kind == "scale-adaptation":
-        return [(i, j) for i in range(len(spec.scales)) for j in range(len(spec.eps_grid))]
-    return [(i, j) for i in range(len(spec.signals)) for j in range(len(spec.eps_grid))]
-
 
 def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
     desc = spec.signals[sig_idx]
@@ -322,12 +299,10 @@ def _model_and_params(spec: ExperimentSpec, eps: float) -> tuple[ModelConfig, Dd
     return make_model(eps, spec.p, spec.n_trunc), DdmParams(K=spec.K, alpha=spec.alpha)
 
 
-def _signal_label(signal: Signal) -> str:
-    return f"{signal.kind}{_params_str(dict(signal.params))}"
-
-
 # ---------------------------------------------------------------------------
-# per-kind cell bodies; each returns (rows, cell_summary)
+# per-kind cell bodies.  Each returns ((entry kind, entry params), stats,
+# summary): stats holds (row kind suffix, grid value, statistic, std error)
+# tuples, which _cell_worker writes as CSV rows "<kind>:<suffix>"
 
 def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
     signal = _build_signal(spec, sig_idx, eps)
@@ -342,20 +317,7 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
         inner_mc=spec.inner_mc,
         seed=_cell_seq(spec, cell_idx),
     )
-    seed = _seq_int(_cell_seq(spec, cell_idx))
-    rows = [
-        _row(
-            "contraction:phi1",
-            signal.kind,
-            dict(signal.params),
-            eps,
-            repr(float(e.argument)),
-            e.value,
-            e.std_error,
-            seed,
-        )
-        for e in ests
-    ]
+    stats = [("phi1", repr(float(e.argument)), e.value, e.std_error) for e in ests]
     values = [e.value for e in ests]
     ratios = [
         values[k + 1] / values[k] if values[k] > 0 else math.nan
@@ -368,8 +330,6 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
         else math.nan
     )
     summary = {
-        "signal": _signal_label(signal),
-        "epsilon": eps,
         "m_grid": list(spec.m_grid),
         "estimates": values,
         "std_errors": [e.std_error for e in ests],
@@ -380,7 +340,7 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
         "center_flags": ests[0].center_flags,
         "oracle_rate": ests[0].scale,
     }
-    return rows, summary
+    return (signal.kind, dict(signal.params)), stats, summary
 
 
 def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
@@ -407,28 +367,21 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
     pilot_sq = np.array([_risk(rep, pilot=True) for rep in range(spec.pilot_reps)])
     pilot_ratio = float(pilot_sq.mean() / r2)
 
-    seed = _seq_int(_cell_seq(spec, cell_idx))
-    rows = [
-        _row("oracle-inequality:risk-ratio", signal.kind, dict(signal.params), eps, "ratio", ratio, se, seed),
-        _row("oracle-inequality:oracle-rate-sq", signal.kind, dict(signal.params), eps, "r2", r2, 0.0, seed),
-    ]
+    stats = [("risk-ratio", "ratio", ratio, se), ("oracle-rate-sq", "r2", r2, 0.0)]
     summary = {
-        "signal": _signal_label(signal),
-        "epsilon": eps,
         "ratio": ratio,
         "std_error": se,
         "pilot_ratio": pilot_ratio,
         "oracle_rate_sq": r2,
         "oracle_index": oracle(signal, model).i_star,
     }
-    return rows, summary
+    return (signal.kind, dict(signal.params)), stats, summary
 
 
 def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
     signal = _build_signal(spec, sig_idx, eps)
     model, params = _model_and_params(spec, eps)
-    seed = _seq_int(_cell_seq(spec, cell_idx))
-    rows = []
+    stats = []
     per_scaling = {}
     for k, scaling in enumerate(("oracle-rate", "sigma-sum-surrogate")):
         ests = estimate_psi(
@@ -442,19 +395,7 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
             inner_mc=spec.inner_mc,
             seed=_cell_seq(spec, cell_idx, k),
         )
-        for e in ests:
-            rows.append(
-                _row(
-                    f"small-ball:psi:{scaling}",
-                    signal.kind,
-                    dict(signal.params),
-                    eps,
-                    repr(float(e.argument)),
-                    e.value,
-                    e.std_error,
-                    seed,
-                )
-            )
+        stats += [(f"psi:{scaling}", repr(float(e.argument)), e.value, e.std_error) for e in ests]
         deltas = np.asarray(spec.delta_grid, dtype=float)
         envelope = deltas * np.log(1.0 / deltas) ** (spec.p + 0.5)
         d_ref = float(deltas.max())
@@ -474,12 +415,10 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
             "center_flags": ests[0].center_flags,
         }
     summary = {
-        "signal": _signal_label(signal),
-        "epsilon": eps,
         "scalings": per_scaling,
         "envelope_ok": bool(all(v["envelope_ok"] for v in per_scaling.values())),
     }
-    return rows, summary
+    return (signal.kind, dict(signal.params)), stats, summary
 
 
 def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float, pilot: bool):
@@ -498,7 +437,7 @@ def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float
     gaps, radii, smalls = np.empty(reps), np.empty(reps), np.empty(reps)
     flags = 0
     for rep in range(reps):
-        center, flagged, dists = replicate(model, signal, params, spec.center_rule, spec.mc_samples, ss, rep)
+        center, flagged, dists = replicate(model, signal, params, spec.center_rule, spec.inner_mc, ss, rep)
         flags += flagged
         gaps[rep] = np.linalg.norm(theta0 - center)
         radii[rep] = radius_from_distances(dists, spec.kappa).value
@@ -510,15 +449,14 @@ def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps:
     """Pilot quantiles used to calibrate the inflation C and size threshold c."""
     signal, ebr, rate, gaps, radii, _, flags = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=True)
     miss_ratios = np.divide(gaps, radii, out=np.full(len(gaps), math.inf), where=radii > 0)
-    return {
-        "signal": _signal_label(signal),
-        "epsilon": eps,
+    summary = {
         "ebr_member": ebr.member,
         "ebr_ratio": ebr.ratio,
         "q98_miss_ratio": float(np.quantile(miss_ratios, 0.98)),
         "q99_size_ratio": float(np.quantile(radii / rate, 0.99)),
         "center_flags": flags,
     }
+    return (signal.kind, dict(signal.params)), [], summary
 
 
 def _cell_coverage_main(
@@ -543,23 +481,19 @@ def _cell_coverage_main(
     bound_se = phi2_se + psi_se / (1.0 - spec.kappa)
     duality_ok = bool((1.0 - coverage) <= miss_bound + 3.0 * (cov_se + bound_se))
 
-    seed = _seq_int(_cell_seq(spec, cell_idx))
-    sp = dict(signal.params)
-    rows = [
-        _row("coverage-size:coverage", signal.kind, sp, eps, repr(float(inflation)), coverage, cov_se, seed),
-        _row("coverage-size:miss-phi2", signal.kind, sp, eps, repr(float(inflation * _DUALITY_DELTA)), phi2_hat, phi2_se, seed),
-        _row("coverage-size:psi", signal.kind, sp, eps, repr(_DUALITY_DELTA), psi_hat, psi_se, seed),
-        _row("coverage-size:radius-mean", signal.kind, sp, eps, "mean", float(radii.mean()), float(radii.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0, seed),
+    stats = [
+        ("coverage", repr(float(inflation)), coverage, cov_se),
+        ("miss-phi2", repr(float(inflation * _DUALITY_DELTA)), phi2_hat, phi2_se),
+        ("psi", repr(_DUALITY_DELTA), psi_hat, psi_se),
+        ("radius-mean", "mean", float(radii.mean()), float(radii.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0),
     ]
     size_freqs = {}
     for c in c_list:
         f, se = _freq_se(radii >= c * rate)
         size_freqs[repr(float(c))] = [f, se]
-        rows.append(_row("coverage-size:size", signal.kind, sp, eps, repr(float(c)), f, se, seed))
+        stats.append(("size", repr(float(c)), f, se))
     summary = {
-        "signal": _signal_label(signal),
         "signal_kind": signal.kind,
-        "epsilon": eps,
         "ebr_member": ebr.member,
         "ebr_ratio": ebr.ratio,
         "coverage": coverage,
@@ -573,7 +507,7 @@ def _cell_coverage_main(
         "radius_mean": float(radii.mean()),
         "center_flags": flags,
     }
-    return rows, summary
+    return (signal.kind, dict(signal.params)), stats, summary
 
 
 def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
@@ -602,32 +536,17 @@ def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: 
         rel[rep, 3] = np.max(np.abs(shr - t_head) / np.abs(t_head))
 
     labels = ("mixture-vs-truth", "shrunk-vs-shrunk-target", "mixture-vs-shrunk-target", "shrunk-vs-truth")
-    seed = _seq_int(_cell_seq(spec, cell_idx))
-    rows = []
-    sp = dict(signal.params)
+    stats = []
     for k, lab in enumerate(labels):
-        rows.append(_row("overshrinkage:max-rel-gap", signal.kind, sp, eps, lab, float(rel[:, k].max()), 0.0, seed))
-        rows.append(
-            _row(
-                "overshrinkage:mean-rel-gap",
-                signal.kind,
-                sp,
-                eps,
-                lab,
-                float(rel[:, k].mean()),
-                float(rel[:, k].std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0,
-                seed,
-            )
-        )
+        se = float(rel[:, k].std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0
+        stats += [("max-rel-gap", lab, float(rel[:, k].max()), 0.0), ("mean-rel-gap", lab, float(rel[:, k].mean()), se)]
     summary = {
-        "signal": _signal_label(signal),
-        "epsilon": eps,
         "i_bar": i_bar,
         "L": L,
         "max_rel": {lab: float(rel[:, k].max()) for k, lab in enumerate(labels)},
         "mean_rel": {lab: float(rel[:, k].mean()) for k, lab in enumerate(labels)},
     }
-    return rows, summary
+    return (signal.kind, dict(signal.params)), stats, summary
 
 
 def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, eps: float):
@@ -636,26 +555,14 @@ def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, 
     sparams = dict(desc.get("params", {}))
     model = make_model(eps, spec.p, spec.n_trunc)
     cls = scale_class(name, sparams, spec.n_trunc)
-    seed = _seq_int(_cell_seq(spec, cell_idx))
     report = covers_check(cls, model, n_samples=spec.n_cover_samples, seed=_cell_seq(spec, cell_idx, 0))
-    rows = [
-        _row("scale-adaptation:worst-ratio", name, sparams, eps, "ratio", report.worst_ratio, 0.0, seed),
-        _row("scale-adaptation:threshold", name, sparams, eps, "threshold", report.threshold, 0.0, seed),
-        _row("scale-adaptation:rate-sq", name, sparams, eps, "r2", report.rate_sq, 0.0, seed),
-        _row(
-            "scale-adaptation:lambda-margin",
-            name,
-            sparams,
-            eps,
-            "min-margin",
-            report.lambda_worst_margin,
-            0.0,
-            seed,
-        ),
+    stats = [
+        ("worst-ratio", "ratio", report.worst_ratio, 0.0),
+        ("threshold", "threshold", report.threshold, 0.0),
+        ("rate-sq", "r2", report.rate_sq, 0.0),
+        ("lambda-margin", "min-margin", report.lambda_worst_margin, 0.0),
     ]
     summary = {
-        "scale": f"{name}{_params_str(sparams)}",
-        "epsilon": eps,
         "worst_ratio": report.worst_ratio,
         "worst_sample": report.worst_sample,
         "threshold": report.threshold,
@@ -663,42 +570,153 @@ def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, 
         "lambda_all_hold": report.lambda_all_hold,
         "lambda_worst_margin": report.lambda_worst_margin,
     }
-    return rows, summary
+    return (name, sparams), stats, summary
+
+
+# ---------------------------------------------------------------------------
+# per-kind summaries.  Each adds its keys to the report summary from the
+# successful cell summaries and returns the checks acceptance_ok needs
+
+def _summarize_contraction(s: dict, cells: list) -> list:
+    s["all_nonincreasing"] = bool(all(c["nonincreasing"] for c in cells)) if cells else False
+    s["all_halving"] = bool(all(c["halving_ok"] for c in cells)) if cells else False
+    return [s["all_nonincreasing"], s["all_halving"]]
+
+
+def _summarize_oracle_inequality(s: dict, cells: list) -> list:
+    ratios = [c["ratio"] for c in cells]
+    pilot_max = max((c["pilot_ratio"] for c in cells), default=math.nan)
+    bound = 1.25 * pilot_max if not math.isnan(pilot_max) else math.nan
+    slopes = {}
+    by_sig: dict = {}
+    for c in cells:
+        by_sig.setdefault(c["signal"], []).append((c["epsilon"], c["ratio"]))
+    for sig, pts in by_sig.items():
+        if len(pts) >= 2 and all(r > 0 for _, r in pts):
+            e, r = zip(*sorted(pts))
+            slopes[sig] = float(np.polyfit(np.log(e), np.log(r), 1)[0])
+        else:
+            slopes[sig] = math.nan
+    s["max_ratio"] = max(ratios, default=math.nan)
+    s["pilot_max_ratio"] = pilot_max
+    s["ratio_bound"] = bound
+    s["within_bound"] = bool(ratios and not math.isnan(bound) and max(ratios) <= bound)
+    s["slopes"] = slopes
+    s["slopes_ok"] = bool(slopes and all(abs(v) <= 0.15 for v in slopes.values() if not math.isnan(v)))
+    return [s["within_bound"], s["slopes_ok"]]
+
+
+def _summarize_small_ball(s: dict, cells: list) -> list:
+    s["all_envelope_ok"] = bool(all(c["envelope_ok"] for c in cells)) if cells else False
+    return [s["all_envelope_ok"]]
+
+
+def _summarize_coverage_size(s: dict, cells: list) -> list:
+    member = [c for c in cells if c["ebr_member"]]
+    deceptive = [c for c in cells if c["signal_kind"] == "deceptive"]
+    s["min_ebr_coverage"] = min((c["coverage"] for c in member), default=math.nan)
+    c_star = s.get("size_c")
+    key = repr(float(c_star)) if c_star is not None else None
+    size_vals = [c["size_freqs"][key][0] for c in cells if key in c["size_freqs"]]
+    s["max_size_freq"] = max(size_vals, default=math.nan)
+    s["coverage_ok"] = bool(member and s["min_ebr_coverage"] >= 0.90)
+    s["size_ok"] = bool(size_vals and s["max_size_freq"] <= 0.05)
+    if deceptive and member:
+        worst_dec = max(deceptive, key=lambda c: c["coverage"])
+        edge = min(member, key=lambda c: c["coverage"])
+        sep = edge["coverage"] - worst_dec["coverage"] - 3.0 * (edge["coverage_se"] + worst_dec["coverage_se"])
+        s["deceptive_max_coverage"] = worst_dec["coverage"]
+        s["deceptive_separated"] = bool(sep > 0)
+    else:
+        s["deceptive_separated"] = None
+    s["duality_ok"] = bool(all(c["duality_ok"] for c in cells)) if cells else False
+    parts = [s["coverage_ok"], s["size_ok"]]
+    if s["deceptive_separated"] is not None:
+        parts.append(s["deceptive_separated"])
+    return parts
+
+
+def _summarize_overshrinkage(s: dict, cells: list) -> list:
+    tol = 0.01
+    ok = bool(
+        cells
+        and all(
+            c["max_rel"]["mixture-vs-truth"] <= tol and c["max_rel"]["shrunk-vs-shrunk-target"] <= tol
+            for c in cells
+        )
+    )
+    gap = min(
+        (
+            min(c["mean_rel"]["mixture-vs-shrunk-target"], c["mean_rel"]["shrunk-vs-truth"])
+            for c in cells
+        ),
+        default=math.nan,
+    )
+    s["tracking_ok"] = ok
+    s["min_cross_gap"] = gap
+    s["cross_gap_large"] = bool(not math.isnan(gap) and gap > 10 * tol)
+    return [ok, s["cross_gap_large"]]
+
+
+def _summarize_scale_adaptation(s: dict, cells: list) -> list:
+    s["all_passed"] = bool(all(c["passed"] for c in cells)) if cells else False
+    s["all_lambda_hold"] = bool(all(c["lambda_all_hold"] for c in cells)) if cells else False
+    return [s["all_passed"], s["all_lambda_hold"]]
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+class _Kind(NamedTuple):
+    """default_spec's fields besides the kind, the body run once per
+    (entry, eps) cell, and the summary over the successful cells."""
+
+    defaults: dict
+    cell: Callable
+    summarize: Callable
+
+
+_KINDS = {
+    "contraction": _Kind(
+        dict(signals=({"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},), eps_grid=(0.05,)),
+        _cell_contraction, _summarize_contraction),
+    "oracle-inequality": _Kind(
+        dict(signals=_RATE_SIGNALS, eps_grid=(0.1, 0.05, 0.02, 0.01)),
+        _cell_oracle_inequality, _summarize_oracle_inequality),
+    "small-ball": _Kind(
+        dict(signals=({"kind": "zero", "params": {}},), eps_grid=(0.05,)),
+        _cell_small_ball, _summarize_small_ball),
+    "coverage-size": _Kind(
+        dict(signals=_COVERAGE_SIGNALS, eps_grid=(0.1,)),
+        _cell_coverage_main, _summarize_coverage_size),
+    "overshrinkage": _Kind(
+        dict(signals=({"kind": "parametric", "params": {"N0": 3, "Q": 4.0}},), eps_grid=(0.001,), reps=50),
+        _cell_overshrinkage, _summarize_overshrinkage),
+    "scale-adaptation": _Kind(
+        dict(scales=_STANDARD_SCALES, eps_grid=(0.1, 0.05)),
+        _cell_scale_adaptation, _summarize_scale_adaptation),
+}
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
 # worker + driver
 
-def _cell_worker(args):
-    spec, cell_idx, coord, extra = args
-    i, j = coord
+def _cell_worker(job):
+    """Run one cell body, pilot or main, and write its statistics as CSV rows
+    under the cell seed; a failing cell returns its traceback instead."""
+    spec, cell_idx, (i, j), body, extra = job
     eps = spec.eps_grid[j]
     try:
-        if spec.kind == "contraction":
-            return cell_idx, _cell_contraction(spec, cell_idx, i, eps), None
-        if spec.kind == "oracle-inequality":
-            return cell_idx, _cell_oracle_inequality(spec, cell_idx, i, eps), None
-        if spec.kind == "small-ball":
-            return cell_idx, _cell_small_ball(spec, cell_idx, i, eps), None
-        if spec.kind == "coverage-size":
-            inflation, c_list = extra
-            return cell_idx, _cell_coverage_main(spec, cell_idx, i, eps, inflation, c_list), None
-        if spec.kind == "overshrinkage":
-            return cell_idx, _cell_overshrinkage(spec, cell_idx, i, eps), None
-        if spec.kind == "scale-adaptation":
-            return cell_idx, _cell_scale_adaptation(spec, cell_idx, i, eps), None
-        raise ValueError(f"unhandled kind {spec.kind!r}")
+        (name, params), stats, summary = body(spec, cell_idx, i, eps, *extra)
+        seed = _seq_int(_cell_seq(spec, cell_idx))
+        rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
+                for suffix, grid, stat, se in stats]
     except Exception:
         return cell_idx, None, traceback.format_exc()
-
-
-def _pilot_worker(args):
-    spec, cell_idx, coord = args
-    i, j = coord
-    try:
-        return cell_idx, _cell_coverage_pilot(spec, cell_idx, i, spec.eps_grid[j]), None
-    except Exception:
-        return cell_idx, None, traceback.format_exc()
+    label = "scale" if spec.kind == "scale-adaptation" else "signal"
+    return cell_idx, (rows, {label: f"{name}{_params_str(params)}", "epsilon": eps, **summary}), None
 
 
 def _resolve_workers(spec: ExperimentSpec) -> int:
@@ -713,11 +731,11 @@ def _resolve_workers(spec: ExperimentSpec) -> int:
     return 1
 
 
-def _map_cells(worker, jobs, n_workers: int):
+def _map_cells(jobs, n_workers: int):
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(j) for j in jobs]
+            return list(pool.map(_cell_worker, jobs))
+    return [_cell_worker(j) for j in jobs]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -727,30 +745,30 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     and contributes a single error row; other cells are unaffected.
     """
     t0 = time.monotonic()
-    coords = _signal_cells(spec)
+    entries = spec.scales if spec.kind == "scale-adaptation" else spec.signals
+    coords = [(i, j) for i in range(len(entries)) for j in range(len(spec.eps_grid))]
     n_workers = _resolve_workers(spec)
     report = ExperimentReport(spec=spec)
     failed: list = []
 
-    extra = None
+    extra = ()
     if spec.kind == "coverage-size":
         inflation, c_star, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed)
-        c_list = tuple(sorted(set(map(float, spec.size_c_grid)) | {c_star}))
-        extra = (inflation, c_list)
+        extra = (inflation, tuple(sorted(set(map(float, spec.size_c_grid)) | {c_star})))
         report.summary["inflation_C"] = inflation
         report.summary["size_c"] = c_star
         report.summary["pilot_cells"] = pilot_cells
         report.summary["pilot_reps"] = spec.pilot_reps
 
-    jobs = [(spec, idx, coord, extra) for idx, coord in enumerate(coords)]
-    outcomes = _map_cells(_cell_worker, jobs, n_workers)
+    jobs = [(spec, idx, coord, _KINDS[spec.kind].cell, extra) for idx, coord in enumerate(coords)]
+    outcomes = _map_cells(jobs, n_workers)
 
     cell_summaries: list = []
     for cell_idx, payload, err in outcomes:
         coord = coords[cell_idx]
         eps = spec.eps_grid[coord[1]]
         if err is not None:
-            desc = spec.scales[coord[0]] if spec.kind == "scale-adaptation" else spec.signals[coord[0]]
+            desc = entries[coord[0]]
             tag = desc.get("name") or desc.get("kind") or "?"
             report.cells.append(
                 _row(f"{spec.kind}:error", str(tag), dict(desc.get("params", {})), eps, "error", math.nan, math.nan, 0)
@@ -765,7 +783,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     report.summary["cells"] = cell_summaries
     report.summary["failed_cells"] = failed
-    _summarize(spec, report, cell_summaries)
+    ok_cells = [c for c in cell_summaries if not c.get("failed")]
+    checks = _KINDS[spec.kind].summarize(report.summary, ok_cells)
+    report.summary["acceptance_ok"] = bool(all(checks) and not failed)
 
     report.runtime = {
         "wall_seconds": time.monotonic() - t0,
@@ -785,13 +805,14 @@ def _calibrate_coverage(spec, coords, n_workers, failed):
     need_s = spec.size_threshold is None
     pilot_cells: list = []
     if need_c or need_s:
-        jobs = [(spec, idx, coord) for idx, coord in enumerate(coords)]
-        for cell_idx, payload, err in _map_cells(_pilot_worker, jobs, n_workers):
+        jobs = [(spec, idx, coord, _cell_coverage_pilot, ()) for idx, coord in enumerate(coords)]
+        for cell_idx, payload, err in _map_cells(jobs, n_workers):
             if err is not None:
                 failed.append({"cell": cell_idx, "phase": "pilot", "error": err})
                 continue
-            payload["cell"] = cell_idx
-            pilot_cells.append(payload)
+            _, summary = payload
+            summary["cell"] = cell_idx
+            pilot_cells.append(summary)
     inflation = spec.coverage_inflation
     if need_c:
         member = [c["q98_miss_ratio"] for c in pilot_cells if c["ebr_member"]]
@@ -804,86 +825,6 @@ def _calibrate_coverage(spec, coords, n_workers, failed):
             raise ValueError("size calibration needs at least one successful pilot cell")
         c_star = 1.25 * max(c["q99_size_ratio"] for c in pilot_cells)
     return float(inflation), float(c_star), pilot_cells
-
-
-def _summarize(spec: ExperimentSpec, report: ExperimentReport, cells: list) -> None:
-    ok_cells = [c for c in cells if not c.get("failed")]
-    s = report.summary
-    if spec.kind == "contraction":
-        s["all_nonincreasing"] = bool(all(c["nonincreasing"] for c in ok_cells)) if ok_cells else False
-        s["all_halving"] = bool(all(c["halving_ok"] for c in ok_cells)) if ok_cells else False
-        s["acceptance_ok"] = bool(s["all_nonincreasing"] and s["all_halving"] and not report.summary["failed_cells"])
-    elif spec.kind == "oracle-inequality":
-        ratios = [c["ratio"] for c in ok_cells]
-        pilot_max = max((c["pilot_ratio"] for c in ok_cells), default=math.nan)
-        bound = 1.25 * pilot_max if not math.isnan(pilot_max) else math.nan
-        slopes = {}
-        by_sig: dict = {}
-        for c in ok_cells:
-            by_sig.setdefault(c["signal"], []).append((c["epsilon"], c["ratio"]))
-        for sig, pts in by_sig.items():
-            if len(pts) >= 2 and all(r > 0 for _, r in pts):
-                e, r = zip(*sorted(pts))
-                slopes[sig] = float(np.polyfit(np.log(e), np.log(r), 1)[0])
-            else:
-                slopes[sig] = math.nan
-        s["max_ratio"] = max(ratios, default=math.nan)
-        s["pilot_max_ratio"] = pilot_max
-        s["ratio_bound"] = bound
-        s["within_bound"] = bool(ratios and not math.isnan(bound) and max(ratios) <= bound)
-        s["slopes"] = slopes
-        s["slopes_ok"] = bool(slopes and all(abs(v) <= 0.15 for v in slopes.values() if not math.isnan(v)))
-        s["acceptance_ok"] = bool(s["within_bound"] and s["slopes_ok"] and not s["failed_cells"])
-    elif spec.kind == "small-ball":
-        s["all_envelope_ok"] = bool(all(c["envelope_ok"] for c in ok_cells)) if ok_cells else False
-        s["acceptance_ok"] = bool(s["all_envelope_ok"] and not s["failed_cells"])
-    elif spec.kind == "coverage-size":
-        member = [c for c in ok_cells if c["ebr_member"]]
-        deceptive = [c for c in ok_cells if c["signal_kind"] == "deceptive"]
-        s["min_ebr_coverage"] = min((c["coverage"] for c in member), default=math.nan)
-        c_star = s.get("size_c")
-        key = repr(float(c_star)) if c_star is not None else None
-        size_vals = [c["size_freqs"][key][0] for c in ok_cells if key in c["size_freqs"]]
-        s["max_size_freq"] = max(size_vals, default=math.nan)
-        s["coverage_ok"] = bool(member and s["min_ebr_coverage"] >= 0.90)
-        s["size_ok"] = bool(size_vals and s["max_size_freq"] <= 0.05)
-        if deceptive and member:
-            worst_dec = max(deceptive, key=lambda c: c["coverage"])
-            edge = min(member, key=lambda c: c["coverage"])
-            sep = edge["coverage"] - worst_dec["coverage"] - 3.0 * (edge["coverage_se"] + worst_dec["coverage_se"])
-            s["deceptive_max_coverage"] = worst_dec["coverage"]
-            s["deceptive_separated"] = bool(sep > 0)
-        else:
-            s["deceptive_separated"] = None
-        s["duality_ok"] = bool(all(c["duality_ok"] for c in ok_cells)) if ok_cells else False
-        parts = [s["coverage_ok"], s["size_ok"]]
-        if s["deceptive_separated"] is not None:
-            parts.append(s["deceptive_separated"])
-        s["acceptance_ok"] = bool(all(parts) and not s["failed_cells"])
-    elif spec.kind == "overshrinkage":
-        tol = 0.01
-        ok = bool(
-            ok_cells
-            and all(
-                c["max_rel"]["mixture-vs-truth"] <= tol and c["max_rel"]["shrunk-vs-shrunk-target"] <= tol
-                for c in ok_cells
-            )
-        )
-        gap = min(
-            (
-                min(c["mean_rel"]["mixture-vs-shrunk-target"], c["mean_rel"]["shrunk-vs-truth"])
-                for c in ok_cells
-            ),
-            default=math.nan,
-        )
-        s["tracking_ok"] = ok
-        s["min_cross_gap"] = gap
-        s["cross_gap_large"] = bool(not math.isnan(gap) and gap > 10 * tol)
-        s["acceptance_ok"] = bool(ok and s["cross_gap_large"] and not s["failed_cells"])
-    elif spec.kind == "scale-adaptation":
-        s["all_passed"] = bool(all(c["passed"] for c in ok_cells)) if ok_cells else False
-        s["all_lambda_hold"] = bool(all(c["lambda_all_hold"] for c in ok_cells)) if ok_cells else False
-        s["acceptance_ok"] = bool(s["all_passed"] and s["all_lambda_hold"] and not s["failed_cells"])
 
 
 # ---------------------------------------------------------------------------

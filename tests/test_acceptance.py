@@ -26,6 +26,8 @@ from seqcred.posterior import DdmParams, crit, eb_index, mixture_weights
 
 from test_posterior import direct_log_weights
 
+pytestmark = pytest.mark.acceptance
+
 DESK_N = 1024
 
 

@@ -434,6 +434,15 @@ class TestExperimentPlumbing:
         assert err.startswith(f"seqcred experiment: {key} must")
         assert err.count("\n") == 1
 
+    def test_non_dict_scale_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": "scale-adaptation", "scales": ["sobolev-hyperrect"]}))
+        code, out, err = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("seqcred experiment: each scale must be a dict")
+        assert err.count("\n") == 1
+
 
 class TestExperimentRuns:
     """Small real runs pin down the --check exit-code contract."""

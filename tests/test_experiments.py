@@ -25,7 +25,7 @@ from seqcred import (
 )
 from seqcred.experiments import _build_signal, _resolve_workers
 
-FAST = dict(n_trunc=96, reps=6, inner_mc=1000, mc_samples=1000, pilot_reps=4, master_seed=5)
+FAST = dict(n_trunc=96, reps=6, inner_mc=1000, pilot_reps=4, master_seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,21 @@ class TestSpec:
         dict(kind="contraction", signals=({"kind": "zero"},), K=None),
         dict(kind="contraction", signals=({"kind": "zero"},), coverage_inflation="2"),
         dict(kind="contraction", signals=({"kind": "zero"},), reps=True),
+        dict(kind="contraction", signals=({"kind": "sobolev-boundary", "params": {"beta": "x", "Q": 1.0}},)),
+        dict(kind="contraction", signals=({"kind": "sobolev-boundary", "params": {"beta": None}},)),
+        dict(kind="contraction", signals=({"kind": "sobolev-boundary", "params": {"beta": -1.0}},)),
+        dict(kind="contraction", signals=({"kind": "zero", "params": 3},)),
+        dict(kind="coverage-size", signals=({"kind": "deceptive", "params": {}},), n_trunc=96),
+        dict(kind="scale-adaptation", scales=({"name": "bogus"},)),
+        dict(kind="scale-adaptation", scales=("sobolev-hyperrect",)),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect", "params": {"Q": "x"}},)),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect", "params": None},)),
+        dict(kind="contraction", signals=({"kind": "zero"},), eps_grid=(math.nan,)),
+        dict(kind="contraction", signals=({"kind": "zero"},), K=math.nan),
+        dict(kind="contraction", signals=({"kind": "zero"},), alpha=0.0),
+        dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(0.1, 1.0)),
+        dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(0.0,)),
+        dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(math.nan,)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -380,11 +395,21 @@ class TestWorkers:
         monkeypatch.delenv("DDM_THREADS")
         assert _resolve_workers(default_spec("contraction")) == 1
 
-    def test_parallel_run_matches_serial(self):
-        spec_a = default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10,
-                              eps_grid=(0.1, 0.05), workers=1)
-        spec_b = default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10,
-                              eps_grid=(0.1, 0.05), workers=2)
-        a = run_experiment(spec_a)
-        b = run_experiment(spec_b)
+    @pytest.mark.parametrize("spec", [
+        default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10, eps_grid=(0.1, 0.05)),
+        # two cells, so the pilot pass also goes through the process pool
+        default_spec(
+            "coverage-size",
+            signals=(
+                {"kind": "zero", "params": {}},
+                {"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},
+            ),
+            **dict(FAST, reps=3, pilot_reps=2),
+        ),
+    ], ids=["scale-adaptation", "coverage-size"])
+    def test_parallel_run_matches_serial(self, spec):
+        a = run_experiment(dataclasses.replace(spec, workers=1))
+        b = run_experiment(dataclasses.replace(spec, workers=2))
+        assert a.runtime["workers"] == 1 and b.runtime["workers"] == 2
         assert a.cells == b.cells
+        assert a.summary.get("pilot_cells") == b.summary.get("pilot_cells")

@@ -1,9 +1,10 @@
 """Golden outputs of the default random stream.
 
-Pins the CSV SHA-256 of every default experiment kind at a reduced scale,
-and, because small-ball reads all zeros at that scale, the draw-dependent
-condition estimates phi1, psi and phi2 on a tiny fixture under both center
-rules, at p = 0 and p = 1.  A refactor must leave every value here
+Pins the CSV SHA-256 of every default experiment kind at a reduced scale.
+Because the default small-ball CSVs read all zeros at that scale, it also
+pins one small-ball CSV with nonzero psi, and the draw-dependent condition
+estimates phi1, psi and phi2 on a tiny fixture under both center rules, at
+p = 0 and p = 1.  A refactor must leave every value here
 unchanged; a change that alters the random stream on purpose says so and
 re-records them.
 
@@ -30,7 +31,7 @@ from seqcred.experiments import EXPERIMENT_KINDS, default_spec, run_experiment, 
 RECORDED_NUMPY = "2.4.6"
 
 #: n_trunc 256 is the smallest power of two at which the deceptive signal builds
-GOLDEN_SCALE = dict(n_trunc=256, reps=3, pilot_reps=2, mc_samples=1000, inner_mc=1000)
+GOLDEN_SCALE = dict(n_trunc=256, reps=3, pilot_reps=2, inner_mc=1000)
 
 #: (kind, p) -> SHA-256 of the CSV
 CSV_SHA256 = {
@@ -42,6 +43,10 @@ CSV_SHA256 = {
     ("overshrinkage", 0.0): "280e9a0e722dcb62d397699a8e0d1d8077b25ca9c15836e4f9aed5f6013626c1",
     ("scale-adaptation", 0.0): "053b8b84634ef4a2a4fac19ba4fc40a7ad613c60aa9b0fd2b3ec1d261471f2eb",
 }
+
+#: small-ball CSV with nonzero psi in 3 of its 6 rows, unlike the all-zero
+#: default small-ball pins above
+SMALL_BALL_NONZERO_SHA256 = "a57b33c052d0691849d4dda248e84b41e8e4bbcf4b74da4f006b1a07fb660478"
 
 #: p -> (phi1 M grid, psi delta grid, phi2 M grid), each straddling the
 #: region where the estimate is strictly between 0 and 1
@@ -82,6 +87,21 @@ def test_default_spec_csv_hash(kind, p, tmp_path):
     path = write_report(report, "csv", tmp_path / "cells.csv")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == CSV_SHA256[(kind, p)], _version_note()
+
+
+def test_small_ball_csv_hash_with_nonzero_psi(tmp_path):
+    spec = default_spec(
+        "small-ball",
+        p=0.0,
+        signals=({"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},),
+        delta_grid=(0.5, 0.7, 0.9),
+        **GOLDEN_SCALE,
+    )
+    report = run_experiment(spec)
+    assert report.summary["failed_cells"] == []
+    path = write_report(report, "csv", tmp_path / "cells.csv")
+    assert sum(float(line.split(",")[-3]) > 0 for line in path.read_text().splitlines()[1:]) == 3
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_BALL_NONZERO_SHA256, _version_note()
 
 
 @pytest.mark.parametrize("p, center_rule, condition", sorted(ESTIMATES))
