@@ -35,6 +35,7 @@ from .oracle import (
     verify_sigma_conditions,
 )
 from .posterior import DdmParams, eb_index, make_posterior, posterior_mean, validate_params
+from .streams import stream
 from .experiments import ExperimentSpec, default_spec, run_experiment, EXPERIMENT_KINDS
 
 __all__ = ["main", "dispatch"]
@@ -174,11 +175,8 @@ def _cmd_ball(args) -> int:
     data = _observed_from_file(args.data)
     params = DdmParams(K=args.K, alpha=args.alpha)
     posterior = make_posterior(data, params)
-    ss = np.random.SeedSequence(args.seed)
-    dc = default_center(posterior, mc_samples=args.mc, seed=np.random.default_rng(ss.spawn(1)[0]))
-    est = radius_at_level(
-        posterior, dc.center, args.kappa, mc_samples=args.mc, seed=np.random.default_rng(ss.spawn(1)[0])
-    )
+    dc = default_center(posterior, mc_samples=args.mc, seed=stream(args.seed, 0))
+    est = radius_at_level(posterior, dc.center, args.kappa, mc_samples=args.mc, seed=stream(args.seed, 1))
     ball = make_confidence_ball(dc.center, est, args.inflation)
     payload = ball.to_dict()
     payload.update(

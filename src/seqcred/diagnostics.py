@@ -18,9 +18,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .credible import default_center
-from .model import ModelConfig, Signal, simulate
+from .model import ModelConfig, Signal
 from .oracle import oracle, sigma_constants, surrogate_oracle
 from .posterior import DdmParams, DdmPosterior, make_posterior, mixture_weights, sample_posterior
+from .streams import data_set, stream
 
 __all__ = [
     "ConditionEstimate",
@@ -61,20 +62,6 @@ class ConditionEstimate:
     inner_mc: int
     scale: float = math.nan
     center_flags: int = 0
-
-
-def _child(ss: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + key)
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _data_seed(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _as_grid(values) -> tuple[np.ndarray, bool]:
@@ -131,13 +118,11 @@ def replicate(
     """Simulate data set ``rep``, form its mixture posterior, resolve the
     center and measure mc fresh posterior draws against it.
 
-    The data come from stream (rep, 0) under seed_seq.  Everything else
-    comes, in this order, from stream (rep, 1): the center search draws,
-    its verification draws, then the distance batch.
+    Its streams under seed_seq are the two estimator-seed rows of the
+    table in :mod:`seqcred.streams`.
     """
-    data = simulate(model, signal, _data_seed(_child(seed_seq, rep, 0)))
-    rng = np.random.default_rng(_child(seed_seq, rep, 1))
-    posterior = make_posterior(data, params)
+    posterior = make_posterior(data_set(model, signal, seed_seq, rep, 0), params)
+    rng = np.random.default_rng(stream(seed_seq, rep, 1))
     center, flagged = _center_for(posterior, center_rule, mc, rng)
     if not distances:
         return Replication(center, flagged, None)
@@ -244,7 +229,7 @@ def _estimate(
 ) -> ConditionEstimate | list[ConditionEstimate]:
     """Average a per-replication statistic over the grid; phi2 reads only
     the center, so it draws no distance batch and reports inner_mc 0."""
-    ss = _seed_sequence(seed)
+    ss = stream(seed)
     distances = kind != "phi2"
     freqs = np.empty((reps, len(grid)))
     flags = 0
@@ -392,13 +377,12 @@ def oversmoothing_probability(
         )
     if reps < 1:
         raise ValueError("reps must be positive")
-    ss = _seed_sequence(seed)
+    ss = stream(seed)
     i_bar = surrogate_oracle(signal, model).i_bar
     cutoff = math.floor(kappa_frac * i_bar)
     masses = np.empty(reps)
     for rep in range(reps):
-        data = simulate(model, signal, _data_seed(_child(ss, rep, 0)))
-        weights = mixture_weights(data, params)
+        weights = mixture_weights(data_set(model, signal, ss, rep, 0), params)
         masses[rep] = weights.w[:cutoff].sum() if cutoff >= 1 else 0.0
     exponent = (params.a_k * (1.0 - kappa_frac) - params.alpha) * i_bar
     bound = math.exp(-exponent) / params.c_alpha

@@ -10,9 +10,10 @@ Six experiment kinds, all driven by one frozen spec:
 * ``overshrinkage``    -- mixture vs. zero-centered full-Bayes means
 * ``scale-adaptation`` -- covers_check over the standard smoothness scales
 
-Every replication seeds from SeedSequence(master_seed, spawn_key=...), so a
-rerun of the same spec reproduces every cell byte for byte; wall-clock time
-appears only in the report metadata and in output directory names.
+Every replication seeds from a stream of master_seed listed in the table of
+:mod:`seqcred.streams`, so a rerun of the same spec reproduces every cell
+byte for byte; wall-clock time appears only in the report metadata and in
+output directory names.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ import numpy as np
 
 from .credible import radius_from_distances
 from .diagnostics import CENTER_RULES, estimate_phi1, estimate_psi, replicate
-from .model import SIGNAL_KINDS, ModelConfig, Signal, generate_signal, make_model, simulate
+from .model import SIGNAL_KINDS, ModelConfig, Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
+from .streams import PILOT_KEY, SIGNAL_KEY, data_set, seed_int, stream
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -59,10 +61,6 @@ CSV_COLUMNS = (
     "seed",
 )
 
-#: spawn-key prefix reserving a seed namespace for pilot replications
-_PILOT_KEY = 782134
-#: spawn-key prefix for signal-level streams shared across the eps grid
-_SIGNAL_KEY = 550927
 #: delta at which the in-cell miss/size duality is tabulated
 _DUALITY_DELTA = 0.5
 #: spec fields that must hold an int, a real, a real or None, or a tuple of reals
@@ -245,17 +243,6 @@ def default_spec(kind: str, **overrides) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# seeding helpers
-
-def _cell_seq(spec: ExperimentSpec, cell_idx: int, *extra: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(spec.master_seed, spawn_key=(cell_idx,) + tuple(extra))
-
-
-def _seq_int(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-# ---------------------------------------------------------------------------
 # cell plumbing
 
 def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
@@ -265,7 +252,7 @@ def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
     if kind == "deceptive":
         params.setdefault("epsilon", eps)
         params.setdefault("p", spec.p)
-    seed = _seq_int(np.random.SeedSequence(spec.signal_seed, spawn_key=(sig_idx,)))
+    seed = seed_int(stream(spec.signal_seed, sig_idx))
     return generate_signal(kind, params, n_trunc=spec.n_trunc, seed=seed)
 
 
@@ -315,7 +302,7 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
         center_rule=spec.center_rule,
         reps=spec.reps,
         inner_mc=spec.inner_mc,
-        seed=_cell_seq(spec, cell_idx),
+        seed=stream(spec.master_seed, cell_idx),
     )
     stats = [("phi1", repr(float(e.argument)), e.value, e.std_error) for e in ests]
     values = [e.value for e in ests]
@@ -349,13 +336,10 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
     r2 = oracle(signal, model).rate_sq
     theta0 = signal.padded(spec.n_trunc)
 
-    # noise streams are keyed by (signal, rep), not by cell, so every eps
-    # column sees the same z draws; ratios of pivotal quantities then cancel
-    # exactly along the eps grid instead of adding MC noise to the slope
+    # keyed by signal, not by cell: every eps column sees the same noise
     def _risk(rep: int, pilot: bool) -> float:
-        key = (_PILOT_KEY, _SIGNAL_KEY, sig_idx, rep) if pilot else (_SIGNAL_KEY, sig_idx, rep)
-        data_seed = _seq_int(np.random.SeedSequence(spec.master_seed, spawn_key=key))
-        data = simulate(model, signal, data_seed)
+        key = (PILOT_KEY, SIGNAL_KEY, sig_idx, rep) if pilot else (SIGNAL_KEY, sig_idx, rep)
+        data = data_set(model, signal, spec.master_seed, *key)
         mean = posterior_mean(data, mixture_weights(data, params))
         diff = mean - theta0
         return float(diff @ diff)
@@ -393,7 +377,7 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
             scaling=scaling,
             reps=spec.reps,
             inner_mc=spec.inner_mc,
-            seed=_cell_seq(spec, cell_idx, k),
+            seed=stream(spec.master_seed, cell_idx, k),
         )
         stats += [(f"psi:{scaling}", repr(float(e.argument)), e.value, e.std_error) for e in ests]
         deltas = np.asarray(spec.delta_grid, dtype=float)
@@ -431,9 +415,9 @@ def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float
     theta0 = signal.padded(spec.n_trunc)
     rate = oracle(signal, model).rate
     if pilot:
-        ss, reps = np.random.SeedSequence(spec.master_seed, spawn_key=(_PILOT_KEY, cell_idx)), spec.pilot_reps
+        ss, reps = stream(spec.master_seed, PILOT_KEY, cell_idx), spec.pilot_reps
     else:
-        ss, reps = _cell_seq(spec, cell_idx), spec.reps
+        ss, reps = stream(spec.master_seed, cell_idx), spec.reps
     gaps, radii, smalls = np.empty(reps), np.empty(reps), np.empty(reps)
     flags = 0
     for rep in range(reps):
@@ -527,7 +511,7 @@ def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: 
 
     rel = np.empty((spec.reps, 4))  # mix-vs-truth, shr-vs-L*truth, mix-vs-L*truth, shr-vs-truth
     for rep in range(spec.reps):
-        data = simulate(model, signal, _seq_int(_cell_seq(spec, cell_idx, rep, 0)))
+        data = data_set(model, signal, spec.master_seed, cell_idx, rep, 0)
         mix = posterior_mean(data, mixture_weights(data, params))[head][live]
         shr = shrunk_full_bayes(data, params).mean()[head][live]
         rel[rep, 0] = np.max(np.abs(mix - t_head) / np.abs(t_head))
@@ -555,7 +539,7 @@ def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, 
     sparams = dict(desc.get("params", {}))
     model = make_model(eps, spec.p, spec.n_trunc)
     cls = scale_class(name, sparams, spec.n_trunc)
-    report = covers_check(cls, model, n_samples=spec.n_cover_samples, seed=_cell_seq(spec, cell_idx, 0))
+    report = covers_check(cls, model, n_samples=spec.n_cover_samples, seed=stream(spec.master_seed, cell_idx, 0))
     stats = [
         ("worst-ratio", "ratio", report.worst_ratio, 0.0),
         ("threshold", "threshold", report.threshold, 0.0),
@@ -710,7 +694,7 @@ def _cell_worker(job):
     eps = spec.eps_grid[j]
     try:
         (name, params), stats, summary = body(spec, cell_idx, i, eps, *extra)
-        seed = _seq_int(_cell_seq(spec, cell_idx))
+        seed = seed_int(stream(spec.master_seed, cell_idx))
         rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
                 for suffix, grid, stat, se in stats]
     except Exception:

@@ -60,10 +60,10 @@ class ModelConfig:
     n_trunc: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.p < 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (self.p >= 0 and math.isfinite(self.p)):
+            raise ValueError(f"p must be nonnegative and finite, got {self.p}")
         if not isinstance(self.n_trunc, int) or self.n_trunc < 1:
             raise ValueError(f"n_trunc must be a positive integer, got {self.n_trunc}")
 
@@ -95,7 +95,7 @@ class ModelConfig:
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:
-    """Build a ModelConfig; rejects epsilon <= 0, p < 0, n_trunc < 1."""
+    """Build a ModelConfig; rejects epsilon <= 0, p < 0, either non-finite, and n_trunc < 1."""
     return ModelConfig(epsilon=float(epsilon), p=float(p), n_trunc=int(n_trunc))
 
 

@@ -18,7 +18,6 @@ from seqcred import (
     proposition_bounds,
     remark1_transfer,
 )
-from seqcred.diagnostics import _child, _data_seed
 
 SMALL = dict(reps=12, inner_mc=1000, seed=31)
 
@@ -98,20 +97,6 @@ class TestConditionEstimators:
     def test_rejects_bad_arguments(self, tiny_model, tiny_signal, params, bad):
         with pytest.raises(ValueError):
             bad(tiny_model, tiny_signal, params)
-
-
-class TestSeedTree:
-    def test_child_keys_are_stable_and_distinct(self):
-        ss = np.random.SeedSequence(123)
-        assert _data_seed(_child(ss, 4, 0)) == _data_seed(_child(ss, 4, 0))
-        assert _data_seed(_child(ss, 4, 0)) != _data_seed(_child(ss, 5, 0))
-        assert _data_seed(_child(ss, 4, 0)) != _data_seed(_child(ss, 4, 1))
-
-    def test_child_extends_existing_spawn_key(self):
-        ss = np.random.SeedSequence(9, spawn_key=(2,))
-        child = _child(ss, 7)
-        assert child.spawn_key == (2, 7)
-        assert child.entropy == 9
 
 
 class TestPropositionBounds:

@@ -4,7 +4,10 @@ Pins the CSV SHA-256 of every default experiment kind at a reduced scale.
 Because the default small-ball CSVs read all zeros at that scale, it also
 pins one small-ball CSV with nonzero psi, and the draw-dependent condition
 estimates phi1, psi and phi2 on a tiny fixture under both center rules, at
-p = 0 and p = 1.  A refactor must leave every value here
+p = 0 and p = 1.  Three streams that reach no CSV are pinned too: the
+oracle-inequality pilot ratios, which go only to the JSON summary, the
+oversmoothing mass, and the ``seqcred ball`` radius and center.  A refactor
+must leave every value here
 unchanged; a change that alters the random stream on purpose says so and
 re-records them.
 
@@ -13,7 +16,10 @@ promise identical streams across versions, so a mismatch under another
 numpy version may be a version effect rather than a regression.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +31,9 @@ from seqcred import (
     estimate_psi,
     generate_signal,
     make_model,
+    oversmoothing_probability,
 )
+from seqcred.cli import dispatch
 from seqcred.experiments import EXPERIMENT_KINDS, default_spec, run_experiment, write_report
 
 RECORDED_NUMPY = "2.4.6"
@@ -70,6 +78,41 @@ ESTIMATES = {
     (1.0, "posterior-mean", "psi"): [(0.03625, 0.007215434844830906), (0.46975000000000006, 0.033109351649747945), (0.9315, 0.010070584226680517)],
     (1.0, "posterior-mean", "phi2"): [(1.0, 0.0), (1.0, 0.0), (0.5, 0.28867513459481287), (0.25, 0.25)],
 }
+
+#: p -> oracle-inequality pilot_ratio of each cell at GOLDEN_SCALE
+PILOT_RATIOS = {
+    0.0: [
+        38.45559284438721, 38.45559284438721, 38.45559284438737, 38.45559284438737,
+        1.4215875074182784, 2.086371659655545, 1.5696098316671894, 1.5511373963304576,
+        4.752937261176513, 3.087936354242216, 1.8263082320538575, 1.400485565066861,
+        3.020351755235605, 2.166176483830318, 1.506813290663252, 1.2192519689718229,
+        7.158253719242514, 6.629663023099901, 6.758986754808076, 6.08288848920703,
+    ],
+    1.0: [
+        5662645.529187616, 5662645.529187616, 5662645.529187616, 5662645.529187616,
+        141725.06460727222, 50879.9001135736, 12851.531037785855, 4586.373798722088,
+        381131.01085498894, 161381.7049823441, 53230.083596659715, 23215.68501141107,
+        896653.2343855901, 578700.7688566048, 234989.20476641998, 142033.8060011827,
+        384075.6762438994, 193256.78740307267, 87300.84266440966, 52491.90391115599,
+    ],
+}
+
+#: oversmoothing_probability on sobolev-boundary beta 0.5 at n 256, eps 0.1,
+#: p 0, K 2, alpha 0.01, kappa_frac 0.7, 6 reps, seed 5: (estimate,
+#: std_error, per_rep), with mass in every rep
+OVERSMOOTHING = (
+    0.04400597151753304,
+    0.04093290139409793,
+    [0.0013071700676729615, 4.185702624183102e-07, 0.24834979727467832,
+     0.014314043460681908, 7.126094404409862e-06, 5.72736374982321e-05],
+)
+
+#: ``seqcred ball --mc 1000 --seed 3`` on BALL_DATA: (radius, radius_std_error,
+#: SHA-256 of the center as float64 bytes)
+BALL_DATA = ["--eps", "0.1", "--n", "64", "--kind", "sobolev-boundary",
+             "--params", '{"beta": 1.0, "Q": 1.0}', "--seed", "9"]
+BALL = (0.44303753902444065, 0.0025194950514478565,
+        "cd44f487c987da64fe69192e9d3f90011c5c6ac2301b4566ed131ee962de0b67")
 
 
 def _version_note() -> str:
@@ -116,3 +159,29 @@ def test_condition_estimates(p, center_rule, condition):
     )
     assert [(e.value, e.std_error) for e in ests] == ESTIMATES[(p, center_rule, condition)], _version_note()
     assert all(e.center_flags == 0 for e in ests)
+
+
+@pytest.mark.parametrize("p", sorted(PILOT_RATIOS))
+def test_oracle_inequality_pilot_ratios(p):
+    report = run_experiment(default_spec("oracle-inequality", p=p, **GOLDEN_SCALE))
+    assert report.summary["failed_cells"] == []
+    assert [c["pilot_ratio"] for c in report.summary["cells"]] == PILOT_RATIOS[p], _version_note()
+
+
+def test_oversmoothing_probability():
+    model = make_model(0.1, 0.0, 256)
+    signal = generate_signal("sobolev-boundary", {"beta": 0.5, "Q": 1.0}, n_trunc=256)
+    res = oversmoothing_probability(model, signal, DdmParams(K=2.0, alpha=0.01), 0.7, reps=6, seed=5)
+    assert (res.estimate, res.std_error, res.per_rep.tolist()) == OVERSMOOTHING, _version_note()
+    assert all(v > 0 for v in res.per_rep)
+
+
+def test_cli_ball(tmp_path):
+    data = tmp_path / "data.json"
+    assert dispatch(["simulate", *BALL_DATA, "--out", str(data)]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert dispatch(["ball", "--data", str(data), "--mc", "1000", "--seed", "3"]) == 0
+    payload = json.loads(out.getvalue())
+    center = hashlib.sha256(np.asarray(payload["center"], dtype=float).tobytes()).hexdigest()
+    assert (payload["radius"], payload["radius_std_error"], center) == BALL, _version_note()

@@ -48,6 +48,10 @@ class TestModelConfig:
             dict(epsilon=-1.0, p=0.0, n_trunc=4),
             dict(epsilon=0.1, p=-0.5, n_trunc=4),
             dict(epsilon=0.1, p=0.0, n_trunc=0),
+            dict(epsilon=math.nan, p=0.0, n_trunc=4),
+            dict(epsilon=math.inf, p=0.0, n_trunc=4),
+            dict(epsilon=0.1, p=math.nan, n_trunc=4),
+            dict(epsilon=0.1, p=math.inf, n_trunc=4),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
