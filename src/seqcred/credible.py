@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import as_generator
+from .model import pad
 from .posterior import DdmPosterior, eb_index, sample_posterior
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
 DEFAULT_P_LEVEL = 2.0 / 3.0
 #: multiplicative slack applied to the candidate-restricted radius
 DEFAULT_VARSIGMA = 0.5
+#: fewest posterior draws a radius or a default center is estimated from
+MIN_MC_SAMPLES = 1000
 #: index weights below this are ignored when collecting center candidates
 CANDIDATE_WEIGHT_FLOOR = 1e-3
 #: candidates ranked within this relative distance of the best are re-scored exactly
@@ -95,9 +97,9 @@ def radius_at_level(
 ) -> RadiusEstimate:
     """Smallest r with posterior mass >= 1-kappa in the ball B(center, r),
     estimated from mc_samples posterior draws."""
-    if mc_samples < 1000:
-        raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
-    center = _pad_to(center, len(posterior.data))
+    if mc_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
+    center = pad(center, len(posterior.data))
     dists = np.sqrt(sample_posterior(posterior, mc_samples, seed).sq_dists(center))
     return radius_from_distances(dists, kappa)
 
@@ -121,15 +123,6 @@ class DefaultCenterResult:
     mass_at_inflated: float
     candidates_evaluated: int
     radius_at_mean: float
-
-
-def _pad_to(vec: np.ndarray, n: int) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if len(vec) == n:
-        return vec
-    out = np.zeros(n)
-    out[: min(n, len(vec))] = vec[:n]
-    return out
 
 
 def default_center(
@@ -157,9 +150,9 @@ def default_center(
         raise ValueError(f"p_level must lie in (0,1), got {p_level}")
     if varsigma < 0:
         raise ValueError(f"varsigma must be nonnegative, got {varsigma}")
-    if mc_samples < 1000:
-        raise ValueError(f"mc_samples must be >= 1000, got {mc_samples}")
-    rng = as_generator(seed)
+    if mc_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
+    rng = np.random.default_rng(seed)
     n = len(posterior.data)
 
     i_hat = eb_index(posterior.weights)
@@ -205,7 +198,7 @@ def default_center(
         )
 
     return DefaultCenterResult(
-        center=_pad_to(center, n),
+        center=pad(center, n),
         radius=r_star,
         candidate=tag,
         p_level=p_level,
@@ -240,9 +233,8 @@ class CredibleBall:
         return self.inflation * self.radius
 
     def contains(self, theta: np.ndarray | Sequence[float]) -> bool:
-        theta = np.asarray(theta, dtype=float)
         n = max(len(theta), len(self.center))
-        diff = _pad_to(theta, n) - _pad_to(self.center, n)
+        diff = pad(theta, n) - pad(self.center, n)
         return bool(math.sqrt(float(diff @ diff)) <= self.effective_radius)
 
     def to_dict(self) -> dict:

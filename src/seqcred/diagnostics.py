@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .credible import default_center
+from .credible import MIN_MC_SAMPLES, default_center
 from .model import ModelConfig, Signal
 from .oracle import oracle, sigma_constants, surrogate_oracle
 from .posterior import DdmParams, DdmPosterior, make_posterior, mixture_weights, sample_posterior
@@ -29,6 +29,7 @@ __all__ = [
     "OversmoothingResult",
     "BallVolume",
     "Replication",
+    "mean_and_se",
     "replicate",
     "estimate_phi1",
     "estimate_psi",
@@ -64,6 +65,16 @@ class ConditionEstimate:
     center_flags: int = 0
 
 
+def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error std(ddof=1) / sqrt(n) over the
+    n rows; the error is 0 when there is a single row."""
+    x = np.asarray(x, dtype=float)
+    mean = x.mean(axis=0)
+    if len(x) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, x.std(axis=0, ddof=1) / math.sqrt(len(x))
+
+
 def _as_grid(values) -> tuple[np.ndarray, bool]:
     if np.ndim(values) == 0:
         return np.array([float(values)]), True
@@ -71,11 +82,6 @@ def _as_grid(values) -> tuple[np.ndarray, bool]:
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("grid must be a scalar or a nonempty 1-d sequence")
     return arr, False
-
-
-def _check_center_rule(center_rule: str) -> None:
-    if center_rule not in CENTER_RULES:
-        raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
 
 
 def _center_for(
@@ -141,13 +147,9 @@ def estimate_phi1(
 ) -> ConditionEstimate | list[ConditionEstimate]:
     """Expected posterior mass outside the ball of radius M * oracle-rate
     around the data-driven center, averaged over simulated data sets."""
-    _check_center_rule(center_rule)
-    grid, scalar = _as_grid(M)
-    if reps < 1 or inner_mc < 1:
-        raise ValueError("reps and inner_mc must be positive")
     rate = oracle(signal, model).rate
     return _estimate(
-        "phi1", grid, scalar, rate, lambda r: np.mean(r.dists[:, None] >= grid[None, :] * rate, axis=0),
+        "phi1", M, rate, lambda r, grid: np.mean(r.dists[:, None] >= grid[None, :] * rate, axis=0),
         model, signal, params, center_rule, reps, inner_mc, seed,
     )
 
@@ -170,20 +172,16 @@ def estimate_psi(
     surrogate oracle index; the latter is the natural yardstick when the
     posterior is expected to put little mass very close to its center.
     """
-    _check_center_rule(center_rule)
     if scaling not in PSI_SCALINGS:
         raise ValueError(f"scaling must be one of {PSI_SCALINGS}, got {scaling!r}")
-    grid, scalar = _as_grid(delta)
-    if np.any(grid <= 0):
+    if np.any(np.asarray(delta, dtype=float) <= 0):
         raise ValueError("delta values must be positive")
-    if reps < 1 or inner_mc < 1:
-        raise ValueError("reps and inner_mc must be positive")
     if scaling == "oracle-rate":
         scale = oracle(signal, model).rate
     else:
         scale = math.sqrt(surrogate_oracle(signal, model).sigma_sum)
     return _estimate(
-        "psi", grid, scalar, scale, lambda r: np.mean(r.dists[:, None] <= grid[None, :] * scale, axis=0),
+        "psi", delta, scale, lambda r, grid: np.mean(r.dists[:, None] <= grid[None, :] * scale, axis=0),
         model, signal, params, center_rule, reps, inner_mc, seed,
     )
 
@@ -201,24 +199,19 @@ def estimate_phi2(
     """Frequency of the data-driven center missing the truth by at least
     M * oracle-rate.  Purely an outer Monte Carlo; inner draws are spent
     only on resolving the default center."""
-    _check_center_rule(center_rule)
-    grid, scalar = _as_grid(M)
-    if reps < 1:
-        raise ValueError("reps must be positive")
     rate = oracle(signal, model).rate
     theta0 = signal.padded(model.n_trunc)
     return _estimate(
-        "phi2", grid, scalar, rate, lambda r: float(np.linalg.norm(theta0 - r.center)) >= grid * rate,
+        "phi2", M, rate, lambda r, grid: float(np.linalg.norm(theta0 - r.center)) >= grid * rate,
         model, signal, params, center_rule, reps, inner_mc, seed,
     )
 
 
 def _estimate(
     kind: str,
-    grid: np.ndarray,
-    scalar: bool,
+    values: float | Sequence[float],
     scale: float,
-    statistic: Callable[[Replication], np.ndarray],
+    statistic: Callable[[Replication, np.ndarray], np.ndarray],
     model: ModelConfig,
     signal: Signal,
     params: DdmParams,
@@ -227,8 +220,16 @@ def _estimate(
     inner_mc: int,
     seed: int | np.random.SeedSequence | None,
 ) -> ConditionEstimate | list[ConditionEstimate]:
-    """Average a per-replication statistic over the grid; phi2 reads only
-    the center, so it draws no distance batch and reports inner_mc 0."""
+    """Average a per-replication statistic over the grid of values; phi2
+    reads only the center, so it draws no distance batch and reports
+    inner_mc 0.  Every argument is checked before the first replication."""
+    if center_rule not in CENTER_RULES:
+        raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
+    if reps < 1 or inner_mc < 1:
+        raise ValueError("reps and inner_mc must be positive")
+    if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
+        raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
+    grid, scalar = _as_grid(values)
     ss = stream(seed)
     distances = kind != "phi2"
     freqs = np.empty((reps, len(grid)))
@@ -236,12 +237,8 @@ def _estimate(
     for rep in range(reps):
         run = replicate(model, signal, params, center_rule, inner_mc, ss, rep, distances=distances)
         flags += run.flagged
-        freqs[rep] = statistic(run)
-    values = freqs.mean(axis=0)
-    if reps > 1:
-        ses = freqs.std(axis=0, ddof=1) / math.sqrt(reps)
-    else:
-        ses = np.zeros(len(grid))
+        freqs[rep] = statistic(run, grid)
+    means, ses = mean_and_se(freqs)
     out = [
         ConditionEstimate(
             kind=kind,
@@ -253,7 +250,7 @@ def _estimate(
             scale=float(scale),
             center_flags=flags,
         )
-        for g, v, s in zip(grid, values, ses)
+        for g, v, s in zip(grid, means, ses)
     ]
     return out[0] if scalar else out
 
@@ -284,7 +281,6 @@ def proposition_bounds(
     M: float,
     delta: float,
     kappa: float,
-    varsigma: float = 0.5,
 ) -> PropositionBounds:
     """Combine condition values into the three operational bounds.
 
@@ -299,8 +295,6 @@ def proposition_bounds(
         raise ValueError(f"kappa must lie in (0,1), got {kappa}")
     if M <= 0 or delta <= 0:
         raise ValueError("M and delta must be positive")
-    if varsigma < 0:
-        raise ValueError("varsigma must be nonnegative")
     miss = phi2 + psi / (1.0 - kappa)
     size = phi1 / kappa
     cover = (1.0 - phi2) + (1.0 - psi) / kappa
@@ -386,10 +380,10 @@ def oversmoothing_probability(
         masses[rep] = weights.w[:cutoff].sum() if cutoff >= 1 else 0.0
     exponent = (params.a_k * (1.0 - kappa_frac) - params.alpha) * i_bar
     bound = math.exp(-exponent) / params.c_alpha
-    se = float(masses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    estimate, se = mean_and_se(masses)
     return OversmoothingResult(
-        estimate=float(masses.mean()),
-        std_error=se,
+        estimate=float(estimate),
+        std_error=float(se),
         bound=bound,
         i_bar=i_bar,
         kappa_frac=kappa_frac,

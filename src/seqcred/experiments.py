@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .credible import radius_from_distances
-from .diagnostics import CENTER_RULES, estimate_phi1, estimate_psi, replicate
+from .credible import MIN_MC_SAMPLES, radius_from_distances
+from .diagnostics import CENTER_RULES, estimate_phi1, estimate_psi, mean_and_se, replicate
 from .model import SIGNAL_KINDS, ModelConfig, Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
@@ -133,6 +133,8 @@ class ExperimentSpec:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
         if self.center_rule not in CENTER_RULES:
             raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {self.center_rule!r}")
+        if self.center_rule == "default-center" and self.inner_mc < MIN_MC_SAMPLES:
+            raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {self.inner_mc}")
         if not self.p >= 0:
             raise ValueError(f"p must be nonnegative, got {self.p}")
         if self.workers < 0:
@@ -344,9 +346,8 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
         diff = mean - theta0
         return float(diff @ diff)
 
-    sq = np.array([_risk(rep, pilot=False) for rep in range(spec.reps)])
-    ratio = float(sq.mean() / r2)
-    se = float(sq.std(ddof=1) / math.sqrt(spec.reps) / r2) if spec.reps > 1 else 0.0
+    mean_sq, se_sq = mean_and_se([_risk(rep, pilot=False) for rep in range(spec.reps)])
+    ratio, se = float(mean_sq / r2), float(se_sq / r2)
 
     pilot_sq = np.array([_risk(rep, pilot=True) for rep in range(spec.pilot_reps)])
     pilot_ratio = float(pilot_sq.mean() / r2)
@@ -459,8 +460,8 @@ def _cell_coverage_main(
 
     coverage, cov_se = _freq_se(gaps <= inflation * radii)
     phi2_hat, phi2_se = _freq_se(gaps >= inflation * _DUALITY_DELTA * rate)
-    psi_hat = float(smalls.mean())
-    psi_se = float(smalls.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0
+    psi_hat, psi_se = map(float, mean_and_se(smalls))
+    radius_mean, radius_se = map(float, mean_and_se(radii))
     miss_bound = phi2_hat + psi_hat / (1.0 - spec.kappa)
     bound_se = phi2_se + psi_se / (1.0 - spec.kappa)
     duality_ok = bool((1.0 - coverage) <= miss_bound + 3.0 * (cov_se + bound_se))
@@ -469,7 +470,7 @@ def _cell_coverage_main(
         ("coverage", repr(float(inflation)), coverage, cov_se),
         ("miss-phi2", repr(float(inflation * _DUALITY_DELTA)), phi2_hat, phi2_se),
         ("psi", repr(_DUALITY_DELTA), psi_hat, psi_se),
-        ("radius-mean", "mean", float(radii.mean()), float(radii.std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0),
+        ("radius-mean", "mean", radius_mean, radius_se),
     ]
     size_freqs = {}
     for c in c_list:
@@ -488,7 +489,7 @@ def _cell_coverage_main(
         "miss_bound": miss_bound,
         "duality_ok": duality_ok,
         "oracle_rate": rate,
-        "radius_mean": float(radii.mean()),
+        "radius_mean": radius_mean,
         "center_flags": flags,
     }
     return (signal.kind, dict(signal.params)), stats, summary
@@ -521,15 +522,12 @@ def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: 
 
     labels = ("mixture-vs-truth", "shrunk-vs-shrunk-target", "mixture-vs-shrunk-target", "shrunk-vs-truth")
     stats = []
+    max_rel, mean_rel = {}, {}
     for k, lab in enumerate(labels):
-        se = float(rel[:, k].std(ddof=1) / math.sqrt(spec.reps)) if spec.reps > 1 else 0.0
-        stats += [("max-rel-gap", lab, float(rel[:, k].max()), 0.0), ("mean-rel-gap", lab, float(rel[:, k].mean()), se)]
-    summary = {
-        "i_bar": i_bar,
-        "L": L,
-        "max_rel": {lab: float(rel[:, k].max()) for k, lab in enumerate(labels)},
-        "mean_rel": {lab: float(rel[:, k].mean()) for k, lab in enumerate(labels)},
-    }
+        max_rel[lab] = float(rel[:, k].max())
+        mean_rel[lab], se = map(float, mean_and_se(rel[:, k]))
+        stats += [("max-rel-gap", lab, max_rel[lab], 0.0), ("mean-rel-gap", lab, mean_rel[lab], se)]
+    summary = {"i_bar": i_bar, "L": L, "max_rel": max_rel, "mean_rel": mean_rel}
     return (signal.kind, dict(signal.params)), stats, summary
 
 

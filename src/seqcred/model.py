@@ -4,7 +4,10 @@ The model observes X_i ~ N(theta_i, sigma_i^2) independently, with noise
 levels sigma_i = eps * i^p growing polynomially in the coordinate index
 (the mildly ill-posed regime; p = 0 is the direct problem).  Signals are
 finite coefficient sequences with an exact zero tail beyond the truncation
-level, which keeps every tail sum downstream exact.
+level, which keeps every tail sum downstream exact.  That convention is
+stated here once: ``family_radii`` gives the radii a_i of the sobolev,
+analytic and parametric families (signals and smoothness scales alike),
+``tail_sums`` the tail sums sum_{i>I} v_i, and ``pad`` the zero padding.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ __all__ = [
     "make_model",
     "generate_signal",
     "simulate",
-    "as_generator",
+    "family_radii",
+    "tail_sums",
+    "pad",
 ]
 
 SIGNAL_KINDS = (
@@ -38,17 +43,31 @@ SIGNAL_KINDS = (
 )
 
 
-def as_generator(seed: int | np.random.SeedSequence | np.random.Generator | None) -> np.random.Generator:
-    """Coerce an int seed, a SeedSequence, a Generator, or None to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def pad(vec: np.ndarray, n: int) -> np.ndarray:
+    """A fresh length-n copy of vec, padded with exact zeros (or truncated)."""
+    vec = np.asarray(vec, dtype=float)
+    out = np.zeros(n)
+    m = min(n, len(vec))
+    out[:m] = vec[:m]
+    return out
+
+
+def tail_sums(v: np.ndarray) -> np.ndarray:
+    """tail[I] = sum_{i>I} v_i for I = 0..len(v), so tail[len(v)] = 0.
+
+    One reversed cumulative sum: numpy's cumsum adds sequentially, so every
+    entry is the same float whatever the vector is cut or padded to beyond it.
+    """
+    v = np.asarray(v, dtype=float)
+    tail = np.zeros(len(v) + 1)
+    tail[:-1] = v[::-1].cumsum()[::-1]
+    return tail
 
 
 @dataclass(frozen=True)
@@ -78,8 +97,8 @@ class ModelConfig:
         return _readonly(self.sigma**2)
 
     @cached_property
-    def _sigma_sq_cumsum(self) -> np.ndarray:
-        # index j holds Sigma(j) = sum_{i<=j} sigma_i^2, with Sigma(0) = 0
+    def variance_sums(self) -> np.ndarray:
+        """Index j holds Sigma(j) = sum_{i<=j} sigma_i^2 for j = 0..n_trunc."""
         return _readonly(np.concatenate(([0.0], np.cumsum(self.sigma_sq))))
 
     def variance_sum(self, a: float) -> float:
@@ -91,7 +110,7 @@ class ModelConfig:
         j = int(math.floor(a))
         if j <= 0:
             return 0.0
-        return float(self._sigma_sq_cumsum[min(j, self.n_trunc)])
+        return float(self.variance_sums[min(j, self.n_trunc)])
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:
@@ -124,10 +143,7 @@ class Signal:
 
     def padded(self, n: int) -> np.ndarray:
         """Coefficients padded with exact zeros (or truncated) to length n."""
-        out = np.zeros(n)
-        m = min(n, len(self.coeffs))
-        out[:m] = self.coeffs[:m]
-        return out
+        return pad(self.coeffs, n)
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "params": dict(self.params), "coeffs": self.coeffs.tolist()}
@@ -149,6 +165,38 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[np.ndarray, dict[str, Any]]:
+    """Radii a_1..a_n of a smoothness family, with its parsed parameters.
+
+    * ``sobolev`` (beta > 0, Q > 0): a_i = sqrt(Q) * i^{-(beta+1/2)}
+    * ``analytic`` (c > 0, d > 0, Q > 0): a_i = sqrt(Q * exp(-c * i^d))
+    * ``parametric`` (Q > 0, 1 <= N0 <= n_trunc): a_i = sqrt(Q) for i <= N0,
+      zero after
+
+    Missing parameters default to 1.  Signals and smoothness scales both
+    take their radii from here.
+    """
+    q = float(params.get("Q", 1.0))
+    _require(q > 0, f"Q must be positive, got {q}")
+    i = np.arange(1, n_trunc + 1, dtype=float)
+    if family == "sobolev":
+        beta = float(params.get("beta", 1.0))
+        _require(beta > 0, f"beta must be positive, got {beta}")
+        return np.sqrt(q) * i ** (-(beta + 0.5)), {"beta": beta, "Q": q}
+    if family == "analytic":
+        c = float(params.get("c", 1.0))
+        d = float(params.get("d", 1.0))
+        _require(c > 0 and d > 0, f"c and d must be positive, got c={c}, d={d}")
+        return np.sqrt(q * np.exp(-c * i**d)), {"c": c, "d": d, "Q": q}
+    if family == "parametric":
+        n0 = int(params.get("N0", 1))
+        _require(1 <= n0 <= n_trunc, f"N0 must be in [1, {n_trunc}], got {n0}")
+        a = np.zeros(n_trunc)
+        a[:n0] = math.sqrt(q)
+        return a, {"Q": q, "N0": n0}
+    raise ValueError(f"unknown family {family!r}; expected sobolev, analytic or parametric")
+
+
 def generate_signal(
     kind: str,
     params: Mapping[str, Any] | None = None,
@@ -160,13 +208,11 @@ def generate_signal(
     Kinds and parameters:
 
     * ``zero``: all-zero coefficients.
-    * ``sobolev-boundary`` (beta > 0, Q > 0): theta_i = sqrt(Q) * i^{-(beta+1/2)},
-      sitting exactly on the hyperrectangle bound a_i^2 = Q * i^{-(2*beta+1)}.
+    * ``sobolev-boundary`` (beta, Q), ``analytic`` (c, d, Q) and
+      ``parametric`` (Q, N0): theta_i = a_i, the radii of the family in
+      :func:`family_radii`, so the signal sits on its class boundary.
     * ``sobolev-random`` (beta, Q): theta_i drawn uniformly in [-a_i, a_i]
-      with the same a_i (seeded).
-    * ``analytic`` (c > 0, d > 0, Q > 0): theta_i = sqrt(Q * exp(-c * i^d)).
-    * ``parametric`` (Q > 0, 1 <= N0 <= n_trunc): theta_i = sqrt(Q) for
-      i <= N0, zero after.
+      with the sobolev a_i (seeded).
     * ``deceptive`` (epsilon > 0, p >= 0): zero base plus a single spike of
       squared mass m = 10 * eps^2 * j^{2p} at j = ceil(2 / eps^{2/(2p+1)}).
       The constructor verifies that the result fails the excess-bias check
@@ -179,38 +225,10 @@ def generate_signal(
     if kind == "zero":
         return Signal(np.zeros(n_trunc), kind, {})
 
-    if kind in ("sobolev-boundary", "sobolev-random"):
-        beta = float(params.get("beta", 1.0))
-        q = float(params.get("Q", 1.0))
-        _require(beta > 0, f"beta must be positive, got {beta}")
-        _require(q > 0, f"Q must be positive, got {q}")
-        i = np.arange(1, n_trunc + 1, dtype=float)
-        a = np.sqrt(q) * i ** (-(beta + 0.5))
-        if kind == "sobolev-boundary":
-            coeffs = a
-        else:
-            rng = as_generator(seed)
-            coeffs = rng.uniform(-a, a)
-        return Signal(coeffs, kind, {"beta": beta, "Q": q})
-
-    if kind == "analytic":
-        c = float(params.get("c", 1.0))
-        d = float(params.get("d", 1.0))
-        q = float(params.get("Q", 1.0))
-        _require(c > 0 and d > 0, f"c and d must be positive, got c={c}, d={d}")
-        _require(q > 0, f"Q must be positive, got {q}")
-        i = np.arange(1, n_trunc + 1, dtype=float)
-        coeffs = np.sqrt(q * np.exp(-c * i**d))
-        return Signal(coeffs, kind, {"c": c, "d": d, "Q": q})
-
-    if kind == "parametric":
-        q = float(params.get("Q", 1.0))
-        n0 = int(params.get("N0", 1))
-        _require(q > 0, f"Q must be positive, got {q}")
-        _require(1 <= n0 <= n_trunc, f"N0 must be in [1, {n_trunc}], got {n0}")
-        coeffs = np.zeros(n_trunc)
-        coeffs[:n0] = math.sqrt(q)
-        return Signal(coeffs, kind, {"Q": q, "N0": n0})
+    if kind in ("sobolev-boundary", "sobolev-random", "analytic", "parametric"):
+        a, parsed = family_radii(kind.split("-")[0], params, n_trunc)
+        coeffs = np.random.default_rng(seed).uniform(-a, a) if kind == "sobolev-random" else a
+        return Signal(coeffs, kind, parsed)
 
     if kind == "deceptive":
         eps = float(params["epsilon"])
@@ -244,9 +262,7 @@ def generate_signal(
         _require("coeffs" in params, "custom signals need a 'coeffs' parameter")
         coeffs = np.asarray(params["coeffs"], dtype=float)
         _require(len(coeffs) <= n_trunc, f"custom coefficients longer than n_trunc={n_trunc}")
-        out = np.zeros(n_trunc)
-        out[: len(coeffs)] = coeffs
-        return Signal(out, kind, {})
+        return Signal(pad(coeffs, n_trunc), kind, {})
 
     raise ValueError(f"unknown signal kind {kind!r}; expected one of {SIGNAL_KINDS}")
 

@@ -1,9 +1,9 @@
 """Oracle and surrogate-oracle rates, signal-class diagnostics, minimax rates.
 
-Everything here is exact arithmetic on finite-support signals: tail sums run
-over the stored coefficients (zero beyond the truncation level by
-convention), and every argmin scan is exhaustive with ties broken to the
-smallest index.
+Everything here is exact arithmetic on finite-support signals: tail sums
+(:func:`seqcred.model.tail_sums`) run over the stored coefficients, zero
+beyond the truncation level by convention, and every argmin scan is
+exhaustive with ties broken to the smallest index.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .model import ModelConfig, Signal, as_generator
+from .model import ModelConfig, Signal, family_radii, pad, tail_sums
 
 __all__ = [
     "OracleResult",
@@ -42,12 +42,11 @@ ELLIPSOID_COVER_CONST = (2.0 * math.pi) ** 2
 HYPERRECT_COVER_CONST = 2.5
 
 
-def _theta_sq_tail(signal: Signal, n: int) -> np.ndarray:
-    """tail[I] = sum_{i>I} theta_i^2 for I = 0..n, exact over the support."""
-    th2 = signal.padded(n) ** 2
-    tail = np.zeros(n + 1)
-    tail[:-1] = th2[::-1].cumsum()[::-1]
-    return tail
+def _risk_curve(theta_sq: np.ndarray, model: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """r^2(I) = Sigma(I) + sum_{i>I} theta_i^2 for I = 1..N (index 0 <-> I = 1),
+    with the tail sums it adds, for a length-N squared-coefficient vector."""
+    tail = tail_sums(theta_sq)[1:]
+    return model.variance_sums[1:] + tail, tail
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,13 @@ def oracle(signal: Signal, model: ModelConfig) -> OracleResult:
     Returns the smallest minimizing index.  The rate never drops below
     eps^2 because the variance term at I = 1 is already sigma_1^2.
     """
-    n = model.n_trunc
-    tail = _theta_sq_tail(signal, n)
-    var = model._sigma_sq_cumsum  # var[j] = Sigma(j)
-    r2 = var[1:] + tail[1:]  # index 0 <-> I = 1
+    r2, tail = _risk_curve(signal.padded(model.n_trunc) ** 2, model)
     i0 = int(np.argmin(r2))
     return OracleResult(
         i_star=i0 + 1,
         rate_sq=float(r2[i0]),
-        variance_term=float(var[i0 + 1]),
-        bias_term=float(tail[i0 + 1]),
+        variance_term=float(model.variance_sums[i0 + 1]),
+        bias_term=float(tail[i0]),
     )
 
 
@@ -97,10 +93,7 @@ def surrogate_oracle(signal: Signal, model: ModelConfig) -> SurrogateOracleResul
     n = model.n_trunc
     i = np.arange(1, n + 1, dtype=float)
     kappa_sq = i ** (2.0 * model.p)
-    th2_scaled = signal.padded(n) ** 2 / kappa_sq
-    tail = np.zeros(n + 1)
-    tail[:-1] = th2_scaled[::-1].cumsum()[::-1]
-    r2 = model.epsilon**2 * i + tail[1:]
+    r2 = model.epsilon**2 * i + tail_sums(signal.padded(n) ** 2 / kappa_sq)[1:]
     i0 = int(np.argmin(r2))
     return SurrogateOracleResult(
         i_bar=i0 + 1,
@@ -128,7 +121,7 @@ def ebr_check(signal: Signal, model: ModelConfig, tau: float) -> EbrResult:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     surr = surrogate_oracle(signal, model)
-    bias = float(_theta_sq_tail(signal, model.n_trunc)[surr.i_bar])
+    bias = float(tail_sums(signal.padded(model.n_trunc) ** 2)[surr.i_bar])
     var = surr.sigma_sum
     ratio = bias / var
     return EbrResult(
@@ -365,11 +358,8 @@ class Ellipsoid:
     kind = "ellipsoid"
 
     def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        a = np.zeros(max(len(theta), len(self.a)))
-        a[: len(self.a)] = self.a
-        th = np.zeros_like(a)
-        th[: len(theta)] = theta
+        n = max(len(theta), len(self.a))
+        a, th = pad(self.a, n), pad(theta, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(th == 0.0, 0.0, (th / a) ** 2)  # 0/0 counts as 0
         if np.any(np.isinf(q) | np.isnan(q)):
@@ -389,42 +379,36 @@ class Hyperrectangle:
     kind = "hyperrect"
 
     def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        a = np.zeros(max(len(theta), len(self.a)))
-        a[: len(self.a)] = self.a
-        th = np.zeros_like(a)
-        th[: len(theta)] = theta
+        n = max(len(theta), len(self.a))
+        a, th = pad(self.a, n), pad(theta, n)
         return bool(np.all(np.abs(th) <= a + 1e-15 * a))
 
 
 def scale_class(name: str, params: Mapping[str, Any], n_trunc: int) -> Ellipsoid | Hyperrectangle:
     """The four standard smoothness scales as explicit classes.
 
+    Radii and parameter checks come from :func:`seqcred.model.family_radii`,
+    so each class but the sobolev ellipsoid has the radii of its signal
+    family (sobolev-boundary, analytic, parametric) as its boundary:
+
     * ``sobolev-hyperrect``: a_i^2 = Q * i^{-(2*beta+1)}
     * ``sobolev-ellipsoid``: a_i^2 = Q * i^{-2*beta}
     * ``analytic-ellipsoid``: a_i^2 = Q * exp(-c * i^d)
     * ``parametric-hyperrect``: a_i^2 = Q * 1{i <= N0}
     """
-    q = float(params.get("Q", 1.0))
-    if q <= 0:
-        raise ValueError(f"Q must be positive, got {q}")
-    i = np.arange(1, n_trunc + 1, dtype=float)
-    if name == "sobolev-hyperrect":
-        beta = float(params.get("beta", 1.0))
-        return Hyperrectangle(np.sqrt(q) * i ** (-(beta + 0.5)))
+    shapes = {
+        "sobolev-hyperrect": Hyperrectangle,
+        "sobolev-ellipsoid": Ellipsoid,
+        "analytic-ellipsoid": Ellipsoid,
+        "parametric-hyperrect": Hyperrectangle,
+    }
+    if name not in shapes:
+        raise ValueError(f"unknown scale {name!r}")
+    a, parsed = family_radii(name.split("-")[0], params, n_trunc)
     if name == "sobolev-ellipsoid":
-        beta = float(params.get("beta", 1.0))
-        return Ellipsoid(np.sqrt(q) * i ** (-beta))
-    if name == "analytic-ellipsoid":
-        cc = float(params.get("c", 1.0))
-        d = float(params.get("d", 1.0))
-        return Ellipsoid(np.sqrt(q * np.exp(-cc * i**d)))
-    if name == "parametric-hyperrect":
-        n0 = int(params.get("N0", 1))
-        a = np.zeros(n_trunc)
-        a[:n0] = math.sqrt(q)
-        return Hyperrectangle(a)
-    raise ValueError(f"unknown scale {name!r}")
+        i = np.arange(1, n_trunc + 1, dtype=float)
+        a = np.sqrt(parsed["Q"]) * i ** (-parsed["beta"])
+    return shapes[name](a)
 
 
 def _padded_radii(cls: Ellipsoid | Hyperrectangle, model: ModelConfig) -> np.ndarray:
@@ -433,10 +417,7 @@ def _padded_radii(cls: Ellipsoid | Hyperrectangle, model: ModelConfig) -> np.nda
             f"largest class radius a_1={cls.a[0]:.4g} below the noise level "
             f"eps={model.epsilon:.4g}"
         )
-    a = np.zeros(model.n_trunc)
-    m = min(model.n_trunc, len(cls.a))
-    a[:m] = cls.a[:m]
-    return a
+    return pad(cls.a, model.n_trunc)
 
 
 def minimax_rate(cls: Ellipsoid | Hyperrectangle, model: ModelConfig) -> float:
@@ -447,14 +428,10 @@ def minimax_rate(cls: Ellipsoid | Hyperrectangle, model: ModelConfig) -> float:
     radii beyond the class length treated as exact zeros.
     """
     a = _padded_radii(cls, model)
-    n = model.n_trunc
-    var = model._sigma_sq_cumsum[1:]
     if isinstance(cls, Ellipsoid):
         a_next_sq = np.concatenate((a[1:], [0.0])) ** 2
-        return float(np.min(var + a_next_sq))
-    tail = np.zeros(n)
-    tail[:-1] = (a[1:] ** 2)[::-1].cumsum()[::-1]
-    return float(np.min(var + tail))
+        return float(np.min(model.variance_sums[1:] + a_next_sq))
+    return float(np.min(_risk_curve(a**2, model)[0]))
 
 
 @dataclass(frozen=True)
@@ -469,13 +446,6 @@ class CoversReport:
     lambda_trials: int
     lambda_all_hold: bool
     lambda_worst_margin: float
-
-
-def _rate_sq_at(theta_sq: np.ndarray, model: ModelConfig) -> float:
-    """r^2(theta) by exhaustive scan, for a squared-coefficient vector."""
-    tail = np.zeros(model.n_trunc + 1)
-    tail[:-1] = theta_sq[::-1].cumsum()[::-1]
-    return float(np.min(model._sigma_sq_cumsum[1:] + tail[1:]))
 
 
 def covers_check(
@@ -496,7 +466,7 @@ def covers_check(
     with lambda_i >= 1/2.  Both inequalities are exact, so no tolerance is
     applied.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     a = _padded_radii(cls, model)
     n = model.n_trunc
     rate_global = minimax_rate(cls, model)
@@ -533,7 +503,7 @@ def covers_check(
     worst_ratio = -math.inf
     worst_tag = ""
     for tag, th2 in samples:
-        ratio = _rate_sq_at(th2, model) / rate_global
+        ratio = float(np.min(_risk_curve(th2, model)[0])) / rate_global
         if ratio > worst_ratio:
             worst_ratio, worst_tag = ratio, tag
 

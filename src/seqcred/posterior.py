@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import ModelConfig, ObservedData, as_generator
+from .model import ModelConfig, ObservedData, pad, tail_sums
 
 __all__ = [
     "DdmParams",
@@ -147,8 +147,7 @@ class MixtureWeights:
 
     def tail_weights(self) -> np.ndarray:
         """T_i = sum_{I >= i} w_I for i = 1..i_max (so T_1 = 1)."""
-        w = self.w
-        return w[::-1].cumsum()[::-1]
+        return tail_sums(self.w)[:-1]
 
 
 def _increments(data: ObservedData, params: DdmParams, i_max: int, shrunk: bool) -> np.ndarray:
@@ -206,9 +205,7 @@ def crit(data: ObservedData, params: DdmParams, i: int) -> float:
 
 def posterior_mean(data: ObservedData, weights: MixtureWeights) -> np.ndarray:
     """Mixture-posterior mean: coordinatewise X_i times the tail weight sum_{I>=i} w_I."""
-    out = np.zeros(len(data))
-    out[: weights.i_max] = data.x[: weights.i_max] * weights.tail_weights()
-    return out
+    return pad(data.x[: weights.i_max] * weights.tail_weights(), len(data))
 
 
 @dataclass(frozen=True)
@@ -227,9 +224,7 @@ class DdmPosterior:
         """Mean vector of component I (zero beyond I)."""
         if not (1 <= i <= len(self.data)):
             raise ValueError(f"I must be in [1, {len(self.data)}], got {i}")
-        out = np.zeros(len(self.data))
-        out[:i] = self.mean_factor * self.data.x[:i]
-        return out
+        return pad(self.mean_factor * self.data.x[:i], len(self.data))
 
     def mean(self) -> np.ndarray:
         """Posterior mean of theta under this variant."""
@@ -354,7 +349,7 @@ def sample_posterior(
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     w = posterior.weights.w
     indices = rng.choice(posterior.weights.i_max, size=n_draws, p=w / w.sum()) + 1
     d_max = int(indices.max())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqcred import diagnostics
 from seqcred import (
     DdmParams,
     ball_volume_bound,
@@ -14,6 +15,7 @@ from seqcred import (
     estimate_psi,
     generate_signal,
     make_model,
+    mean_and_se,
     oversmoothing_probability,
     proposition_bounds,
     remark1_transfer,
@@ -97,6 +99,34 @@ class TestConditionEstimators:
     def test_rejects_bad_arguments(self, tiny_model, tiny_signal, params, bad):
         with pytest.raises(ValueError):
             bad(tiny_model, tiny_signal, params)
+
+    @pytest.mark.parametrize("estimator", [estimate_phi1, estimate_psi, estimate_phi2])
+    def test_mc_floor_checked_before_first_replication(self, tiny_model, tiny_signal, params,
+                                                       estimator, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the arguments were checked")
+
+        monkeypatch.setattr(diagnostics, "replicate", no_replication)
+        with pytest.raises(ValueError, match="inner_mc >= 1000"):
+            estimator(1.0, tiny_model, tiny_signal, params, reps=2, inner_mc=500, seed=0)
+        with pytest.raises(AssertionError, match="before the arguments"):
+            estimator(1.0, tiny_model, tiny_signal, params, center_rule="posterior-mean",
+                      reps=2, inner_mc=500, seed=0)
+
+
+class TestMeanAndSe:
+    def test_columns_and_single_row(self):
+        x = np.random.default_rng(4).standard_normal((9, 3))
+        mean, se = mean_and_se(x)
+        assert np.array_equal(mean, x.mean(axis=0))
+        assert np.array_equal(se, x.std(axis=0, ddof=1) / 3.0)
+        for k in range(3):  # a strided column reduces exactly like a vector
+            assert mean_and_se(x[:, k]) == (x[:, k].mean(), x[:, k].std(ddof=1) / 3.0)
+            np.testing.assert_allclose(mean_and_se(x[:, k]), (mean[k], se[k]), rtol=1e-13)
+        one_mean, one_se = mean_and_se(x[:1])
+        np.testing.assert_array_equal(one_mean, x[0])
+        np.testing.assert_array_equal(one_se, np.zeros(3))
+        assert mean_and_se([2.0]) == (2.0, 0.0)
 
 
 class TestPropositionBounds:

@@ -112,10 +112,21 @@ class TestSpec:
         dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(0.1, 1.0)),
         dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(0.0,)),
         dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=(math.nan,)),
+        dict(kind="scale-adaptation", scales=({"name": "parametric-hyperrect", "params": {"N0": 0}},)),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect", "params": {"beta": -0.25}},)),
+        dict(kind="scale-adaptation", scales=({"name": "analytic-ellipsoid", "params": {"c": 0.0}},)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ExperimentSpec(**bad)
+
+    def test_default_center_needs_mc_floor(self):
+        """Below the draw floor of default_center the spec fails when built,
+        not in every cell of the run; the posterior mean needs no floor."""
+        with pytest.raises(ValueError, match="inner_mc >= 1000"):
+            default_spec("contraction", inner_mc=500, reps=2, n_trunc=128)
+        spec = default_spec("contraction", inner_mc=500, reps=2, n_trunc=128, center_rule="posterior-mean")
+        assert spec.inner_mc == 500
 
     def test_default_spec_all_kinds(self):
         for kind in EXPERIMENT_KINDS:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcred import ModelConfig, Signal, generate_signal, make_model, simulate
-from seqcred.model import as_generator
+from seqcred import ModelConfig, Signal, family_radii, generate_signal, make_model, pad, simulate, tail_sums
 
 
 class TestModelConfig:
@@ -127,6 +126,41 @@ class TestSignalFamilies:
             generate_signal(kind, params, n_trunc=16)
 
 
+class TestZeroTail:
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_tail_sums_match_brute_force_loop(self, n):
+        v = np.random.default_rng(n).standard_normal(n) ** 2
+        tail = tail_sums(v)
+        assert tail.shape == (n + 1,)
+        want, acc = np.zeros(n + 1), 0.0
+        for i in range(n - 1, -1, -1):  # sum_{i > I} v_i, accumulated from the end
+            acc += v[i]
+            want[i] = acc
+        np.testing.assert_array_equal(tail, want)
+        np.testing.assert_allclose(tail, [math.fsum(v[k:]) for k in range(n + 1)], rtol=1e-12, atol=0)
+
+    def test_pad_extends_truncates_and_copies(self):
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(pad(v, 5), [1.0, 2.0, 3.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pad([1, 2], 1), [1.0])
+        same = pad(v, 3)
+        same[0] = 9.0
+        assert v[0] == 1.0
+
+    def test_variance_sums_are_the_cumulative_variances(self):
+        m = make_model(0.1, 1.0, n_trunc=6)
+        np.testing.assert_array_equal(m.variance_sums, np.concatenate(([0.0], np.cumsum(m.sigma_sq))))
+        assert m.variance_sum(4.5) == m.variance_sums[4]
+
+    def test_family_radii_parse_params(self):
+        a, parsed = family_radii("parametric", {"Q": 4, "N0": 2.0}, 4)
+        np.testing.assert_array_equal(a, [2.0, 2.0, 0.0, 0.0])
+        assert parsed == {"Q": 4.0, "N0": 2}
+        assert family_radii("sobolev", {}, 3)[1] == {"beta": 1.0, "Q": 1.0}
+        with pytest.raises(ValueError, match="unknown family"):
+            family_radii("sobolev-boundary", {}, 3)
+
+
 class TestSignalObject:
     def test_padded_extends_and_truncates(self):
         s = Signal(np.array([1.0, 2.0]), "custom")
@@ -185,13 +219,6 @@ class TestSimulate:
         d = simulate(m, s, seed=3)
         z = np.random.default_rng(3).standard_normal(8)
         np.testing.assert_array_equal(d.x[1:], 0.1 * z[1:])
-
-
-def test_as_generator_passthrough():
-    g = np.random.default_rng(0)
-    assert as_generator(g) is g
-    assert isinstance(as_generator(42), np.random.Generator)
-    assert isinstance(as_generator(None), np.random.Generator)
 
 
 @settings(max_examples=25, deadline=None)

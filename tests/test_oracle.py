@@ -299,6 +299,31 @@ class TestScaleClasses:
         with pytest.raises(ValueError):
             Ellipsoid(np.array([[1.0], [0.5]]))
 
+    @pytest.mark.parametrize("signal_kind,scale,params", [
+        ("sobolev-boundary", "sobolev-hyperrect", {"beta": 0.75, "Q": 3.0}),
+        ("sobolev-boundary", "sobolev-hyperrect", {}),
+        ("analytic", "analytic-ellipsoid", {"c": 0.3, "d": 1.5, "Q": 2.0}),
+        ("parametric", "parametric-hyperrect", {"Q": 5.0, "N0": 7}),
+    ])
+    def test_class_boundary_is_the_signal(self, signal_kind, scale, params):
+        """A boundary signal and its scale share the radii bit for bit."""
+        a = scale_class(scale, params, 64).a
+        np.testing.assert_array_equal(a, generate_signal(signal_kind, params, n_trunc=64).coeffs)
+
+    @pytest.mark.parametrize("name,params", [
+        ("sobolev-hyperrect", {"beta": -0.25}),
+        ("sobolev-ellipsoid", {"beta": -0.25}),
+        ("sobolev-ellipsoid", {"Q": 0.0}),
+        ("analytic-ellipsoid", {"c": 0.0}),
+        ("analytic-ellipsoid", {"d": -1.0}),
+        ("parametric-hyperrect", {"N0": 0}),
+        ("parametric-hyperrect", {"N0": 99}),
+    ])
+    def test_rejects_bad_parameters(self, name, params):
+        """Scales take the parameter checks of the signal families."""
+        with pytest.raises(ValueError):
+            scale_class(name, params, 16)
+
 
 class TestMinimaxRate:
     def test_parametric_frozen(self):

@@ -219,6 +219,20 @@ class TestSampling:
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
+    def test_continues_caller_generator(self, small_data, params):
+        """A Generator passed in is drawn from in place: two calls on it
+        continue one stream, and leave it where a reference run does."""
+        post = make_posterior(small_data, params)
+        g = np.random.default_rng(0)
+        first = sample_posterior(post, 50, g)
+        second = sample_posterior(post, 50, g)
+        ref = np.random.default_rng(0)
+        np.testing.assert_array_equal(first.coeffs, sample_posterior(post, 50, ref).coeffs)
+        np.testing.assert_array_equal(second.coeffs, sample_posterior(post, 50, ref).coeffs)
+        assert not np.array_equal(first.coeffs, second.coeffs)
+        assert g.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(first.coeffs, sample_posterior(post, 50, 0).coeffs)
+
     def test_zeros_beyond_own_index(self, small_data, params):
         post = make_posterior(small_data, params)
         draws = sample_posterior(post, 200, seed=1)
