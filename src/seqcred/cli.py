@@ -20,12 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .credible import default_center, make_confidence_ball, radius_at_level
 from .diagnostics import ball_volume_bound
-from .model import ModelConfig, ObservedData, Signal, generate_signal, make_model, simulate
+from .model import ObservedData, Signal, generate_signal, make_model, simulate
 from .oracle import (
     ebr_check,
     oracle,
@@ -34,7 +32,7 @@ from .oracle import (
     surrogate_oracle,
     verify_sigma_conditions,
 )
-from .posterior import DdmParams, eb_index, make_posterior, posterior_mean, validate_params
+from .posterior import DdmParams, eb_index, make_posterior, validate_params
 from .streams import stream
 from .experiments import ExperimentSpec, default_spec, run_experiment, EXPERIMENT_KINDS
 
@@ -70,8 +68,17 @@ def _observed_to_dict(data: ObservedData) -> dict:
 
 def _observed_from_file(path: str) -> ObservedData:
     d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("x", "epsilon", "p", "n_trunc") if key not in d]
+    if missing:
+        raise ValueError(f"{path} lacks field(s) {missing}")
+    for key, kinds, what in (("epsilon", (int, float), "a number"), ("p", (int, float), "a number"),
+                             ("n_trunc", int, "an integer")):
+        if isinstance(d[key], bool) or not isinstance(d[key], kinds):
+            raise ValueError(f"{key} must be {what}, got {d[key]!r}")
     model = make_model(d["epsilon"], d["p"], d["n_trunc"])
-    return ObservedData(x=np.asarray(d["x"], dtype=float), model=model, seed=d.get("seed"))
+    return ObservedData(x=d["x"], model=model, seed=d.get("seed"))
 
 
 def _build_parser() -> _Parser:

@@ -24,6 +24,7 @@ import math
 import os
 import time
 import traceback
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -109,7 +110,10 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         for name in ("signals", "eps_grid", "m_grid", "delta_grid", "size_c_grid", "scales"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for name in _INT_FIELDS:
             if not _is_number(getattr(self, name), int):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
@@ -139,6 +143,8 @@ class ExperimentSpec:
             raise ValueError(f"p must be nonnegative, got {self.p}")
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
+        if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
+            raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
         for desc in self.signals:
             if not (isinstance(desc, dict) and desc.get("kind") in SIGNAL_KINDS):
                 raise ValueError(f"each signal needs a kind in {SIGNAL_KINDS}, got {desc!r}")
@@ -171,6 +177,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a spec must be a JSON object, got {type(d).__name__}")
+        if "kind" not in d:
+            raise ValueError("spec lacks field 'kind'")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -335,7 +345,8 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
 def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
     signal = _build_signal(spec, sig_idx, eps)
     model, params = _model_and_params(spec, eps)
-    r2 = oracle(signal, model).rate_sq
+    orc = oracle(signal, model)
+    r2 = orc.rate_sq
     theta0 = signal.padded(spec.n_trunc)
 
     # keyed by signal, not by cell: every eps column sees the same noise
@@ -358,7 +369,7 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
         "std_error": se,
         "pilot_ratio": pilot_ratio,
         "oracle_rate_sq": r2,
-        "oracle_index": oracle(signal, model).i_star,
+        "oracle_index": orc.i_star,
     }
     return (signal.kind, dict(signal.params)), stats, summary
 
@@ -366,6 +377,10 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
 def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
     signal = _build_signal(spec, sig_idx, eps)
     model, params = _model_and_params(spec, eps)
+    deltas = np.asarray(spec.delta_grid, dtype=float)
+    envelope = deltas * np.log(1.0 / deltas) ** (spec.p + 0.5)
+    ref_idx = int(np.argmax(deltas))
+    d_ref = float(deltas[ref_idx])
     stats = []
     per_scaling = {}
     for k, scaling in enumerate(("oracle-rate", "sigma-sum-surrogate")):
@@ -381,10 +396,6 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
             seed=stream(spec.master_seed, cell_idx, k),
         )
         stats += [(f"psi:{scaling}", repr(float(e.argument)), e.value, e.std_error) for e in ests]
-        deltas = np.asarray(spec.delta_grid, dtype=float)
-        envelope = deltas * np.log(1.0 / deltas) ** (spec.p + 0.5)
-        d_ref = float(deltas.max())
-        ref_idx = int(np.argmax(deltas))
         ref_val = ests[ref_idx].value
         c_hat = float(ref_val / envelope[ref_idx]) if envelope[ref_idx] > 0 else math.nan
         vals = np.array([e.value for e in ests])

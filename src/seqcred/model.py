@@ -49,6 +49,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_floats(value: Any, name: str) -> np.ndarray:
+    """value as a float array, or a ValueError naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold numbers only, got {value!r}") from None
+
+
 def pad(vec: np.ndarray, n: int) -> np.ndarray:
     """A fresh length-n copy of vec, padded with exact zeros (or truncated)."""
     vec = np.asarray(vec, dtype=float)
@@ -130,7 +138,7 @@ class Signal:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        arr = np.atleast_1d(_as_floats(self.coeffs, "signal coefficients"))
         if arr.ndim != 1:
             raise ValueError("signal coefficients must be one-dimensional")
         if not np.all(np.isfinite(arr)):
@@ -153,7 +161,12 @@ class Signal:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Signal":
-        return cls(coeffs=np.asarray(d["coeffs"], dtype=float), kind=d["kind"], params=d.get("params", {}))
+        _require(isinstance(d, Mapping), f"a signal must be a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("coeffs", "kind") if key not in d]
+        _require(not missing, f"signal lacks field(s) {missing}")
+        params = d.get("params", {})
+        _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
+        return cls(coeffs=d["coeffs"], kind=d["kind"], params=params)
 
     @classmethod
     def from_json(cls, s: str) -> "Signal":
@@ -163,6 +176,16 @@ class Signal:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+def _param(params: Mapping[str, Any], name: str, default: Any = None, cast: type = float) -> Any:
+    """params[name] (or its default) cast to a number, or a ValueError naming it."""
+    _require(name in params or default is not None, f"missing parameter {name!r}")
+    value = params.get(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
 
 
 def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[np.ndarray, dict[str, Any]]:
@@ -176,20 +199,21 @@ def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[
     Missing parameters default to 1.  Signals and smoothness scales both
     take their radii from here.
     """
-    q = float(params.get("Q", 1.0))
+    _require(isinstance(params, Mapping), f"{family} params must be a JSON object, got {params!r}")
+    q = _param(params, "Q", 1.0)
     _require(q > 0, f"Q must be positive, got {q}")
     i = np.arange(1, n_trunc + 1, dtype=float)
     if family == "sobolev":
-        beta = float(params.get("beta", 1.0))
+        beta = _param(params, "beta", 1.0)
         _require(beta > 0, f"beta must be positive, got {beta}")
         return np.sqrt(q) * i ** (-(beta + 0.5)), {"beta": beta, "Q": q}
     if family == "analytic":
-        c = float(params.get("c", 1.0))
-        d = float(params.get("d", 1.0))
+        c = _param(params, "c", 1.0)
+        d = _param(params, "d", 1.0)
         _require(c > 0 and d > 0, f"c and d must be positive, got c={c}, d={d}")
         return np.sqrt(q * np.exp(-c * i**d)), {"c": c, "d": d, "Q": q}
     if family == "parametric":
-        n0 = int(params.get("N0", 1))
+        n0 = _param(params, "N0", 1, int)
         _require(1 <= n0 <= n_trunc, f"N0 must be in [1, {n_trunc}], got {n0}")
         a = np.zeros(n_trunc)
         a[:n0] = math.sqrt(q)
@@ -219,7 +243,9 @@ def generate_signal(
       at tau = 1 and raises otherwise.
     * ``custom`` (coeffs): coefficients passed through verbatim.
     """
-    params = dict(params or {})
+    params = {} if params is None else params
+    _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
+    params = dict(params)
     _require(isinstance(n_trunc, int) and n_trunc >= 1, f"n_trunc must be a positive integer, got {n_trunc}")
 
     if kind == "zero":
@@ -231,8 +257,8 @@ def generate_signal(
         return Signal(coeffs, kind, parsed)
 
     if kind == "deceptive":
-        eps = float(params["epsilon"])
-        p = float(params.get("p", 0.0))
+        eps = _param(params, "epsilon")
+        p = _param(params, "p", 0.0)
         _require(eps > 0, f"epsilon must be positive, got {eps}")
         _require(p >= 0, f"p must be nonnegative, got {p}")
         j = math.ceil(2.0 / eps ** (2.0 / (2.0 * p + 1.0)))
@@ -260,7 +286,7 @@ def generate_signal(
 
     if kind == "custom":
         _require("coeffs" in params, "custom signals need a 'coeffs' parameter")
-        coeffs = np.asarray(params["coeffs"], dtype=float)
+        coeffs = np.atleast_1d(_as_floats(params["coeffs"], "coeffs"))
         _require(len(coeffs) <= n_trunc, f"custom coefficients longer than n_trunc={n_trunc}")
         return Signal(pad(coeffs, n_trunc), kind, {})
 
@@ -276,11 +302,12 @@ class ObservedData:
     seed: int | None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.x, dtype=float)
+        arr = _as_floats(self.x, "data")
         if arr.shape != (self.model.n_trunc,):
             raise ValueError(
                 f"data length {arr.shape} does not match n_trunc={self.model.n_trunc}"
             )
+        _require(bool(np.all(np.isfinite(arr))), "data must be finite")
         object.__setattr__(self, "x", _readonly(arr))
 
     def __len__(self) -> int:

@@ -510,7 +510,6 @@ def covers_check(
     # monotone-weights comparison, independent of the class
     dim = min(lambda_dim, n)
     sig2 = model.sigma_sq[:dim]
-    var_cum = np.concatenate(([0.0], np.cumsum(sig2)))
     all_hold = True
     worst_margin = math.inf
     for _ in range(lambda_trials):
@@ -519,7 +518,7 @@ def covers_check(
         th2 = theta**2
         risk_lin = float(np.sum(sig2 * lam**2 + (1.0 - lam) ** 2 * th2))
         n_lam = int(np.flatnonzero(lam >= 0.5)[-1] + 1) if np.any(lam >= 0.5) else 0
-        r2 = float(var_cum[n_lam] + th2[n_lam:].sum())
+        r2 = float(model.variance_sums[n_lam] + th2[n_lam:].sum())
         margin = risk_lin - 0.25 * r2
         worst_margin = min(worst_margin, margin)
         if margin < 0:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .model import ModelConfig, ObservedData, pad, tail_sums
+from .model import ObservedData, pad, tail_sums
 
 __all__ = [
     "DdmParams",
@@ -121,6 +120,16 @@ def validate_params(K: float, alpha: float, p: float = 0.0) -> ParamDiagnostics:
     )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for finite a: the max, plus log of its tie count m,
+    plus log1p of the other terms' sum over m (scipy.special.logsumexp's rule)."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
 @dataclass(frozen=True)
 class MixtureWeights:
     """Normalized posterior probabilities over I = 1..i_max, in log space."""
@@ -139,7 +148,7 @@ class MixtureWeights:
     @classmethod
     def from_unnormalized(cls, log_u: np.ndarray) -> "MixtureWeights":
         log_u = np.asarray(log_u, dtype=float)
-        return cls(log_w=log_u - logsumexp(log_u), i_max=len(log_u))
+        return cls(log_w=log_u - _logsumexp(log_u), i_max=len(log_u))
 
     @property
     def w(self) -> np.ndarray:

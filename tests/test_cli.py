@@ -444,6 +444,39 @@ class TestExperimentPlumbing:
         assert err.count("\n") == 1
 
 
+_DATA = {"x": [0.1, 0.2, 0.3], "epsilon": 0.1, "p": 0.0, "n_trunc": 3, "seed": 1}
+_SIM = ["simulate", "--eps", "0.1", "--seed", "1", "--kind", "sobolev-boundary", "--params"]
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (_SIM + ['{"beta": null}'], None, "parameter 'beta' must be a number"),
+    (_SIM + ["[1]"], None, "signal params must be a JSON object"),
+    (["posterior", "--data", "F"], "[1, 2]", "must hold a JSON object"),
+    (["ball", "--data", "F", "--seed", "1"], "[1, 2]", "must hold a JSON object"),
+    (["classify", "--signal", "F", "--eps", "0.1"], "[1, 2]", "a signal must be a JSON object"),
+    (["posterior", "--data", "F"], json.dumps({k: v for k, v in _DATA.items() if k != "n_trunc"}),
+     "lacks field(s) ['n_trunc']"),
+    (["classify", "--signal", "F", "--eps", "0.1"], json.dumps({"kind": "zero", "params": {}}),
+     "signal lacks field(s) ['coeffs']"),
+    (["experiment", "--config", "F"], json.dumps({"kind": "contraction", "eps_grid": 0.1}),
+     "eps_grid must be a list"),
+    (["experiment", "--config", "F"], "[1, 2]", "a spec must be a JSON object"),
+    (["posterior", "--data", "F"], json.dumps({**_DATA, "x": [0.1, math.nan, 0.3]}), "data must be finite"),
+], ids=["null-param", "list-params", "posterior-array", "ball-array", "classify-array",
+        "posterior-no-n_trunc", "classify-no-coeffs", "scalar-eps_grid", "array-config", "nan-data"])
+def test_malformed_input_is_one_stderr_line(tmp_path, capsys, argv, content, message):
+    """Malformed input is a usage error that names the bad field, not a traceback."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli([str(path) if a == "F" else a for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"seqcred {argv[0]}:")
+    assert err.count("\n") == 1
+    assert message in err
+
+
 class TestExperimentRuns:
     """Small real runs pin down the --check exit-code contract."""
 

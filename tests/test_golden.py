@@ -11,9 +11,10 @@ must leave every value here
 unchanged; a change that alters the random stream on purpose says so and
 re-records them.
 
-Recorded with numpy 2.4.6 (Python 3.11.7, scipy 1.17.1).  numpy does not
-promise identical streams across versions, so a mismatch under another
-numpy version may be a version effect rather than a regression.
+Recorded with numpy 2.4.6 under Python 3.11.7.  The recorded stream depends
+on numpy and Python, not on scipy: the package does not import it.  numpy
+does not promise identical streams across versions, so a mismatch under
+another numpy version may be a version effect rather than a regression.
 """
 
 import contextlib

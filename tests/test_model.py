@@ -2,13 +2,24 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcred import ModelConfig, Signal, family_radii, generate_signal, make_model, pad, simulate, tail_sums
+from seqcred import (
+    ModelConfig,
+    ObservedData,
+    Signal,
+    family_radii,
+    generate_signal,
+    make_model,
+    pad,
+    simulate,
+    tail_sums,
+)
 
 
 class TestModelConfig:
@@ -181,6 +192,43 @@ class TestSignalObject:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             Signal(np.ones((2, 2)), "custom")
+
+    @pytest.mark.parametrize("d, message", [
+        ([1, 2], "a signal must be a JSON object"),
+        ({"kind": "zero"}, "signal lacks field(s) ['coeffs']"),
+        ({"coeffs": [1.0]}, "signal lacks field(s) ['kind']"),
+        ({"kind": "custom", "coeffs": [1.0], "params": [1]}, "signal params must be a JSON object"),
+        ({"kind": "custom", "coeffs": {"a": 1}}, "signal coefficients must hold numbers only"),
+    ], ids=["array", "no-coeffs", "no-kind", "list-params", "dict-coeffs"])
+    def test_from_dict_rejects_malformed(self, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Signal.from_dict(d)
+
+
+class TestParameterParsing:
+    @pytest.mark.parametrize("kind, params, message", [
+        ("sobolev-boundary", {"beta": None}, "parameter 'beta' must be a number, got None"),
+        ("analytic", {"c": "x"}, "parameter 'c' must be a number"),
+        ("parametric", {"N0": math.inf}, "parameter 'N0' must be a number"),
+        ("parametric", {"N0": math.nan}, "parameter 'N0' must be a number"),
+        ("deceptive", {}, "missing parameter 'epsilon'"),
+        ("custom", {"coeffs": {"a": 1}}, "coeffs must hold numbers only"),
+        ("sobolev-boundary", [1], "signal params must be a JSON object"),
+    ], ids=["null-beta", "string-c", "inf-N0", "nan-N0", "no-epsilon", "dict-coeffs", "list-params"])
+    def test_bad_params_raise_value_error_naming_the_field(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            generate_signal(kind, params, n_trunc=16)
+
+
+class TestObservedData:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="data must be finite"):
+            ObservedData(x=np.array([0.1, bad, 0.3]), model=make_model(0.1, 0.0, 3), seed=None)
+
+    def test_rejects_non_numeric(self):
+        with pytest.raises(ValueError, match="data must hold numbers only"):
+            ObservedData(x={"a": 1}, model=make_model(0.1, 0.0, 3), seed=None)
 
 
 class TestSimulate:

@@ -318,6 +318,8 @@ class TestScaleClasses:
         ("analytic-ellipsoid", {"d": -1.0}),
         ("parametric-hyperrect", {"N0": 0}),
         ("parametric-hyperrect", {"N0": 99}),
+        ("sobolev-hyperrect", [("beta", 1.0)]),
+        ("analytic-ellipsoid", {"c": None}),
     ])
     def test_rejects_bad_parameters(self, name, params):
         """Scales take the parameter checks of the signal families."""

@@ -1,9 +1,19 @@
 """The package namespace: one list of public names, each bound to its
-stage module's object."""
+stage module's object; no module imports a name it does not use, and
+importing the package loads numpy but not scipy."""
 
+import ast
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import seqcred
+
+SRC = Path(seqcred.__file__).parent
 
 STAGES = ("model", "oracle", "posterior", "credible", "diagnostics", "experiments", "streams")
 
@@ -23,3 +33,38 @@ def test_every_name_resolves_to_its_stage_object():
 
 def test_oracle_is_the_function_not_the_module():
     assert seqcred.oracle is importlib.import_module("seqcred.oracle").oracle
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module binds by import but never reads and does not export."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        item.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for item in ast.walk(node.value)
+        if isinstance(item, ast.Constant) and isinstance(item.value, str)
+    }
+    return [name for name in bound if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone; scipy is a test-only reference."""
+    code = "import sys, seqcred; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -31,6 +31,7 @@ from seqcred import (
     simulate,
     validate_params,
 )
+from seqcred.posterior import _increments, _logsumexp
 
 from conftest import rng_datasets
 
@@ -133,6 +134,31 @@ class TestWeights:
         w = mixture_weights(observed(x), params)
         assert eb_index(w) == 8
         assert w.tail_weights()[7] > 0.99
+
+
+class TestLogSumExp:
+    """The private log-sum-exp is scipy.special.logsumexp bit for bit, so
+    dropping the runtime scipy import moved no posterior weight."""
+
+    def test_random_vectors_with_ties(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(2000):
+            n = int(rng.integers(1, 2000))
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, math.log10(700.0))
+            if trial % 5 == 0:
+                a[rng.choice(n, size=min(n, int(rng.integers(1, 6))), replace=False)] = a.max()
+            assert _logsumexp(a) == logsumexp(a), trial
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("shrunk", [False, True], ids=["mixture", "shrunk"])
+    def test_posterior_log_weights(self, params, p, shrunk):
+        model = make_model(0.1, p, 512)
+        for kind, sig_params in (("zero", {}), ("sobolev-boundary", {"beta": 1.0}), ("analytic", {})):
+            signal = generate_signal(kind, sig_params, n_trunc=512)
+            for seed in range(10):
+                data = simulate(model, signal, seed)
+                log_u = np.concatenate(([0.0], np.cumsum(_increments(data, params, 512, shrunk))))
+                assert _logsumexp(log_u) == logsumexp(log_u), (kind, seed)
 
 
 class TestEbIndexAndCrit:
