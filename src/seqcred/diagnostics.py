@@ -30,6 +30,7 @@ __all__ = [
     "BallVolume",
     "Replication",
     "mean_and_se",
+    "check_estimator_args",
     "replicate",
     "estimate_phi1",
     "estimate_psi",
@@ -73,6 +74,17 @@ def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(x) < 2:
         return mean, np.zeros_like(mean)
     return mean, x.std(axis=0, ddof=1) / math.sqrt(len(x))
+
+
+def check_estimator_args(center_rule: str, reps: int, inner_mc: int) -> None:
+    """Reject a center rule, replication count or inner draw count that no
+    estimator can run; the default center needs MIN_MC_SAMPLES draws."""
+    if center_rule not in CENTER_RULES:
+        raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
+    if reps < 1 or inner_mc < 1:
+        raise ValueError("reps and inner_mc must be positive")
+    if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
+        raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
 
 
 def _as_grid(values) -> tuple[np.ndarray, bool]:
@@ -223,12 +235,7 @@ def _estimate(
     """Average a per-replication statistic over the grid of values; phi2
     reads only the center, so it draws no distance batch and reports
     inner_mc 0.  Every argument is checked before the first replication."""
-    if center_rule not in CENTER_RULES:
-        raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
-    if reps < 1 or inner_mc < 1:
-        raise ValueError("reps and inner_mc must be positive")
-    if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
-        raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
+    check_estimator_args(center_rule, reps, inner_mc)
     grid, scalar = _as_grid(values)
     ss = stream(seed)
     distances = kind != "phi2"

@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .credible import MIN_MC_SAMPLES, radius_from_distances
-from .diagnostics import CENTER_RULES, estimate_phi1, estimate_psi, mean_and_se, replicate
-from .model import SIGNAL_KINDS, ModelConfig, Signal, generate_signal, make_model
+from .credible import radius_from_distances
+from .diagnostics import check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
+from .model import ModelConfig, Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
 from .streams import PILOT_KEY, SIGNAL_KEY, data_set, seed_int, stream
@@ -51,30 +51,45 @@ __all__ = [
     "emit_plot_data",
 ]
 
-CSV_COLUMNS = (
-    "kind",
-    "signal_kind",
-    "signal_params",
-    "epsilon",
-    "grid_value",
-    "statistic",
-    "std_error",
-    "seed",
-)
+
+def _params_str(params: dict) -> str:
+    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+
+
+#: the CSV columns, in order, each with the conversion _row gives its value
+_COLUMNS = {
+    "kind": str,
+    "signal_kind": str,
+    "signal_params": _params_str,
+    "epsilon": float,
+    "grid_value": str,
+    "statistic": float,
+    "std_error": float,
+    "seed": int,
+}
+CSV_COLUMNS = tuple(_COLUMNS)
 
 #: delta at which the in-cell miss/size duality is tabulated
 _DUALITY_DELTA = 0.5
-#: spec fields that must hold an int, a real, a real or None, or a tuple of reals
-_INT_FIELDS = ("n_trunc", "n_cover_samples", "reps", "inner_mc", "pilot_reps",
-               "master_seed", "signal_seed", "workers")
-_REAL_FIELDS = ("p", "K", "alpha", "kappa", "tau_ebr")
-_OPTIONAL_REAL_FIELDS = ("coverage_inflation", "size_threshold")
-_GRID_FIELDS = ("eps_grid", "m_grid", "delta_grid", "size_c_grid")
 
 
-def _is_number(value, kind: type | tuple) -> bool:
+def _is_real(value) -> bool:
     """JSON-serializable numbers only; bool is an int subclass but no number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the check of each ExperimentSpec field annotation and its error; a tuple
+#: field is first read from any list
+_FIELD_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "{name} must be a string, got {value!r}"),
+    "str | None": (lambda v: v is None or isinstance(v, (str, os.PathLike)),
+                   "{name} must be a path string or null, got {value!r}"),
+    "int": (lambda v: _is_real(v) and isinstance(v, int), "{name} must be an int, got {value!r}"),
+    "float": (_is_real, "{name} must be a number, got {value!r}"),
+    "float | None": (lambda v: v is None or _is_real(v), "{name} must be a number, got {value!r}"),
+    "tuple[float, ...]": (lambda v: all(map(_is_real, v)), "{name} must hold numbers only, got {value!r}"),
+    "tuple[dict, ...]": (lambda v: all(isinstance(d, dict) for d in v), "each {entry} must be a dict, got {value!r}"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,21 +97,21 @@ class ExperimentSpec:
     """Complete, serializable description of one experiment run."""
 
     kind: str
-    signals: tuple = ()
-    eps_grid: tuple = (0.1,)
+    signals: tuple[dict, ...] = ()
+    eps_grid: tuple[float, ...] = (0.1,)
     p: float = 0.0
     n_trunc: int = 1024
     K: float = 2.0
     alpha: float = 0.04
     kappa: float = 0.5
     tau_ebr: float = 2.0
-    m_grid: tuple = (2.0, 4.0, 8.0, 16.0)
-    delta_grid: tuple = (0.02, 0.05, 0.1)
-    size_c_grid: tuple = ()
+    m_grid: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
+    delta_grid: tuple[float, ...] = (0.02, 0.05, 0.1)
+    size_c_grid: tuple[float, ...] = ()
     coverage_inflation: float | None = None
     size_threshold: float | None = None
     center_rule: str = "default-center"
-    scales: tuple = ()
+    scales: tuple[dict, ...] = ()
     n_cover_samples: int = 200
     reps: int = 500
     inner_mc: int = 2000
@@ -107,55 +122,35 @@ class ExperimentSpec:
     workers: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple["):
+                if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+                    raise ValueError(f"{f.name} must be a list, got {value!r}")
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            check, message = _FIELD_CHECKS[f.type]
+            if not check(value):
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ValueError(message.format(name=f.name, entry=f.name[:-1], value=shown))
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        for name in ("signals", "eps_grid", "m_grid", "delta_grid", "size_c_grid", "scales"):
-            value = getattr(self, name)
-            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        for name in _INT_FIELDS:
-            if not _is_number(getattr(self, name), int):
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in _REAL_FIELDS + _OPTIONAL_REAL_FIELDS:
-            value = getattr(self, name)
-            if not (_is_number(value, (int, float)) or (value is None and name in _OPTIONAL_REAL_FIELDS)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in _GRID_FIELDS:
-            if not all(_is_number(v, (int, float)) for v in getattr(self, name)):
-                raise ValueError(f"{name} must hold numbers only, got {list(getattr(self, name))!r}")
-        if self.kind == "scale-adaptation":
-            if not self.scales:
-                raise ValueError("scale-adaptation needs a nonempty scales tuple")
-        elif not self.signals:
-            raise ValueError(f"{self.kind} needs a nonempty signals tuple")
+        if not getattr(self, _KINDS[self.kind].entries):
+            raise ValueError(f"{self.kind} needs a nonempty {_KINDS[self.kind].entries} tuple")
         if not self.eps_grid:
             raise ValueError("eps_grid must be nonempty")
-        if self.reps < 1 or self.inner_mc < 1 or self.pilot_reps < 1:
-            raise ValueError("reps, inner_mc and pilot_reps must be positive")
+        check_estimator_args(self.center_rule, self.reps, self.inner_mc)
+        if self.pilot_reps < 1:
+            raise ValueError(f"pilot_reps must be positive, got {self.pilot_reps}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-        if self.center_rule not in CENTER_RULES:
-            raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {self.center_rule!r}")
-        if self.center_rule == "default-center" and self.inner_mc < MIN_MC_SAMPLES:
-            raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {self.inner_mc}")
-        if not self.p >= 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
         if self.workers < 0:
             raise ValueError(f"workers must be nonnegative, got {self.workers}")
-        if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
-            raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
-        for desc in self.signals:
-            if not (isinstance(desc, dict) and desc.get("kind") in SIGNAL_KINDS):
-                raise ValueError(f"each signal needs a kind in {SIGNAL_KINDS}, got {desc!r}")
-        for desc in self.scales:
-            if not isinstance(desc, dict):
-                raise ValueError(f"each scale must be a dict with a name, got {desc!r}")
         if not all(0 < d < 1 for d in self.delta_grid):
             raise ValueError(f"delta_grid values must lie in (0, 1), got {list(self.delta_grid)!r}")
-        # build every model, signal and scale now (make_model also rejects a
-        # nonpositive or NaN eps and n_trunc < 1), so that a bad entry fails
-        # the spec rather than a cell halfway through a run
+        # build every model, signal and scale now (make_model rejects a
+        # nonpositive or NaN eps, a negative p and n_trunc < 1), so that a bad
+        # entry fails the spec rather than a cell halfway through a run
         for eps in self.eps_grid:
             make_model(eps, self.p, self.n_trunc)
         DdmParams(K=self.K, alpha=self.alpha)
@@ -212,6 +207,11 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
+        if not isinstance(d, dict):
+            raise ValueError(f"a report must be a JSON object, got {type(d).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"report lacks field(s) {missing}")
         return cls(
             spec=ExperimentSpec.from_dict(d["spec"]),
             cells=list(d["cells"]),
@@ -259,7 +259,7 @@ def default_spec(kind: str, **overrides) -> ExperimentSpec:
 
 def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
     desc = spec.signals[sig_idx]
-    kind = desc["kind"]
+    kind = desc.get("kind")
     params = dict(desc.get("params", {}))
     if kind == "deceptive":
         params.setdefault("epsilon", eps)
@@ -268,30 +268,9 @@ def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
     return generate_signal(kind, params, n_trunc=spec.n_trunc, seed=seed)
 
 
-def _params_str(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
-
-
-def _row(
-    kind: str,
-    signal_kind: str,
-    signal_params: dict,
-    epsilon: float,
-    grid_value: str,
-    statistic: float,
-    std_error: float,
-    seed: int,
-) -> dict:
-    return {
-        "kind": kind,
-        "signal_kind": signal_kind,
-        "signal_params": _params_str(signal_params),
-        "epsilon": float(epsilon),
-        "grid_value": grid_value,
-        "statistic": float(statistic),
-        "std_error": float(std_error),
-        "seed": int(seed),
-    }
+def _row(*values) -> dict:
+    """One CSV row from its values, in the order of CSV_COLUMNS."""
+    return {col: convert(v) for (col, convert), v in zip(_COLUMNS.items(), values, strict=True)}
 
 
 def _model_and_params(spec: ExperimentSpec, eps: float) -> tuple[ModelConfig, DdmParams]:
@@ -662,11 +641,13 @@ def _summarize_scale_adaptation(s: dict, cells: list) -> list:
 
 class _Kind(NamedTuple):
     """default_spec's fields besides the kind, the body run once per
-    (entry, eps) cell, and the summary over the successful cells."""
+    (entry, eps) cell, the summary over the successful cells, and the spec
+    field that lists the entries."""
 
     defaults: dict
     cell: Callable
     summarize: Callable
+    entries: str = "signals"
 
 
 _KINDS = {
@@ -687,7 +668,7 @@ _KINDS = {
         _cell_overshrinkage, _summarize_overshrinkage),
     "scale-adaptation": _Kind(
         dict(scales=_STANDARD_SCALES, eps_grid=(0.1, 0.05)),
-        _cell_scale_adaptation, _summarize_scale_adaptation),
+        _cell_scale_adaptation, _summarize_scale_adaptation, "scales"),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)
@@ -708,20 +689,8 @@ def _cell_worker(job):
                 for suffix, grid, stat, se in stats]
     except Exception:
         return cell_idx, None, traceback.format_exc()
-    label = "scale" if spec.kind == "scale-adaptation" else "signal"
+    label = _KINDS[spec.kind].entries[:-1]
     return cell_idx, (rows, {label: f"{name}{_params_str(params)}", "epsilon": eps, **summary}), None
-
-
-def _resolve_workers(spec: ExperimentSpec) -> int:
-    if spec.workers > 0:
-        return spec.workers
-    env = os.environ.get("DDM_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 def _map_cells(jobs, n_workers: int):
@@ -738,9 +707,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     and contributes a single error row; other cells are unaffected.
     """
     t0 = time.monotonic()
-    entries = spec.scales if spec.kind == "scale-adaptation" else spec.signals
+    entries = getattr(spec, _KINDS[spec.kind].entries)
     coords = [(i, j) for i in range(len(entries)) for j in range(len(spec.eps_grid))]
-    n_workers = _resolve_workers(spec)
+    n_workers = max(1, spec.workers)
     report = ExperimentReport(spec=spec)
     failed: list = []
 
@@ -836,10 +805,7 @@ def write_report(report: ExperimentReport, format: str = "json", path: str | Pat
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
             writer.writeheader()
             for row in report.cells:
-                out = dict(row)
-                for col in ("epsilon", "statistic", "std_error"):
-                    out[col] = repr(float(out[col]))
-                writer.writerow(out)
+                writer.writerow({col: repr(float(v)) if _COLUMNS[col] is float else v for col, v in row.items()})
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     return path

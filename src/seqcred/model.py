@@ -91,7 +91,7 @@ class ModelConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.p >= 0 and math.isfinite(self.p)):
             raise ValueError(f"p must be nonnegative and finite, got {self.p}")
-        if not isinstance(self.n_trunc, int) or self.n_trunc < 1:
+        if isinstance(self.n_trunc, bool) or not isinstance(self.n_trunc, int) or self.n_trunc < 1:
             raise ValueError(f"n_trunc must be a positive integer, got {self.n_trunc}")
 
     @cached_property
@@ -122,8 +122,9 @@ class ModelConfig:
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:
-    """Build a ModelConfig; rejects epsilon <= 0, p < 0, either non-finite, and n_trunc < 1."""
-    return ModelConfig(epsilon=float(epsilon), p=float(p), n_trunc=int(n_trunc))
+    """Build a ModelConfig; rejects epsilon <= 0, p < 0, either non-finite,
+    and an n_trunc that is below 1, a bool or not integral."""
+    return ModelConfig(epsilon=float(epsilon), p=float(p), n_trunc=_integer(n_trunc, "n_trunc"))
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,24 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _integer(value: Any, name: str) -> int:
+    """An int, a numpy integer or an integral float as an int; a bool or a
+    fraction is a ValueError naming the field, never truncated."""
+    _require(int(value) == value and not isinstance(value, (bool, np.bool_)),
+             f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _param(params: Mapping[str, Any], name: str, default: Any = None, cast: type = float) -> Any:
-    """params[name] (or its default) cast to a number, or a ValueError naming it."""
+    """params[name] (or its default) cast to a float or an int, or a
+    ValueError naming it."""
     _require(name in params or default is not None, f"missing parameter {name!r}")
     value = params.get(name, default)
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
+    return _integer(value, f"parameter {name!r}") if cast is int else number
 
 
 def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[np.ndarray, dict[str, Any]]:

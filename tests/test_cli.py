@@ -373,38 +373,22 @@ class TestExperimentPlumbing:
         assert spec.master_seed == 42
         assert spec.out_dir == str(tmp_path / "results")
 
-    def test_threads_flag_beats_env(self, capture_spec, monkeypatch, capsys):
+    def test_saved_spec_with_zero_workers_runs_serially(self, tmp_path, monkeypatch, capsys):
+        """A spec saved with "workers": 0 runs on one worker whatever the
+        environment says; --threads sets the count.  The run has one cell,
+        so it never starts a process pool whatever the count."""
         monkeypatch.setenv("DDM_THREADS", "5")
-        run_cli(["experiment", "--kind", "contraction", "--threads", "2"], capsys)
-        assert capture_spec[0].workers == 2
-
-    @staticmethod
-    def _workers_of_tiny_run(tmp_path, capsys):
-        """Resolved worker count printed by a one-cell run, which never
-        starts a process pool whatever the count."""
         spec = default_spec(
             "scale-adaptation", scales=default_spec("scale-adaptation").scales[:1],
             eps_grid=(0.1,), n_trunc=64, n_cover_samples=5,
         )
+        assert json.loads(spec.to_json())["workers"] == 0
         cfg = tmp_path / "one-cell.json"
         cfg.write_text(spec.to_json())
-        code, out, _ = run_cli(["experiment", "--config", str(cfg)], capsys)
-        assert code == 0
-        return json.loads(out)["runtime"]["workers"]
-
-    def test_env_threads_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DDM_THREADS", "5")
-        assert self._workers_of_tiny_run(tmp_path, capsys) == 5
-
-    def test_superscript_env_threads_fall_back_to_one(self, tmp_path, monkeypatch, capsys):
-        # superscript two passes str.isdigit() but not int()
-        monkeypatch.setenv("DDM_THREADS", "\u00b2")
-        assert self._workers_of_tiny_run(tmp_path, capsys) == 1
-
-    def test_junk_env_threads_ignored(self, capture_spec, monkeypatch, capsys):
-        monkeypatch.setenv("DDM_THREADS", "five")
-        run_cli(["experiment", "--kind", "contraction"], capsys)
-        assert capture_spec[0].workers == default_spec("contraction").workers
+        for extra, workers in (([], 1), (["--threads", "2"], 2)):
+            code, out, _ = run_cli(["experiment", "--config", str(cfg), *extra], capsys)
+            assert code == 0
+            assert json.loads(out)["runtime"]["workers"] == workers
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["experiment", "--config", "/gone.json"], capsys)

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from seqcred import (
     run_experiment,
     write_report,
 )
-from seqcred.experiments import _build_signal, _resolve_workers
+from seqcred.experiments import _build_signal
 
 FAST = dict(n_trunc=96, reps=6, inner_mc=1000, pilot_reps=4, master_seed=5)
 
@@ -115,6 +116,8 @@ class TestSpec:
         dict(kind="scale-adaptation", scales=({"name": "parametric-hyperrect", "params": {"N0": 0}},)),
         dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect", "params": {"beta": -0.25}},)),
         dict(kind="scale-adaptation", scales=({"name": "analytic-ellipsoid", "params": {"c": 0.0}},)),
+        dict(kind="contraction", signals=({"kind": "parametric", "params": {"N0": 2.5}},)),
+        dict(kind="contraction", signals=({"kind": "zero"},), pilot_reps=0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -347,6 +350,17 @@ class TestReportsAndPersistence:
             assert float(got["statistic"]) == want["statistic"]  # repr round-trips
             assert got["kind"] == want["kind"]
 
+    @pytest.mark.parametrize("content, message", [
+        ("[1]", "a report must be a JSON object, got list"),
+        ("{}", "report lacks field(s) ['spec', 'cells', 'summary', 'runtime']"),
+        ('{"spec": {}, "cells": [], "summary": {}}', "report lacks field(s) ['runtime']"),
+    ], ids=["array", "empty", "no-runtime"])
+    def test_read_report_rejects_malformed(self, tmp_path, content, message):
+        path = tmp_path / "r.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_report(path)
+
     def test_write_report_needs_path_and_valid_format(self, contraction_report, tmp_path):
         with pytest.raises(ValueError):
             write_report(contraction_report, "json", None)
@@ -395,17 +409,6 @@ class TestDeterminism:
 
 
 class TestWorkers:
-    def test_explicit_worker_count_wins(self, monkeypatch):
-        monkeypatch.setenv("DDM_THREADS", "7")
-        assert _resolve_workers(default_spec("contraction", workers=2)) == 2
-        assert _resolve_workers(default_spec("contraction")) == 7
-
-    def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("DDM_THREADS", "junk")
-        assert _resolve_workers(default_spec("contraction")) == 1
-        monkeypatch.delenv("DDM_THREADS")
-        assert _resolve_workers(default_spec("contraction")) == 1
-
     @pytest.mark.parametrize("spec", [
         default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10, eps_grid=(0.1, 0.05)),
         # two cells, so the pilot pass also goes through the process pool

@@ -62,11 +62,18 @@ class TestModelConfig:
             dict(epsilon=math.inf, p=0.0, n_trunc=4),
             dict(epsilon=0.1, p=math.nan, n_trunc=4),
             dict(epsilon=0.1, p=math.inf, n_trunc=4),
+            dict(epsilon=0.1, p=0.0, n_trunc=96.5),
+            dict(epsilon=0.1, p=0.0, n_trunc=True),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+        with pytest.raises(ValueError):
+            make_model(**kwargs)
+
+    def test_integral_truncation_kept(self):
+        assert make_model(0.1, 0.0, 96.0).n_trunc == make_model(0.1, 0.0, np.int64(96)).n_trunc == 96
 
     def test_default_truncation(self):
         assert make_model(0.1, 0.0).n_trunc == 4096
@@ -214,10 +221,17 @@ class TestParameterParsing:
         ("deceptive", {}, "missing parameter 'epsilon'"),
         ("custom", {"coeffs": {"a": 1}}, "coeffs must hold numbers only"),
         ("sobolev-boundary", [1], "signal params must be a JSON object"),
-    ], ids=["null-beta", "string-c", "inf-N0", "nan-N0", "no-epsilon", "dict-coeffs", "list-params"])
+        ("parametric", {"N0": 2.5}, "parameter 'N0' must be an integer, got 2.5"),
+        ("parametric", {"N0": True}, "parameter 'N0' must be an integer, got True"),
+    ], ids=["null-beta", "string-c", "inf-N0", "nan-N0", "no-epsilon", "dict-coeffs", "list-params",
+            "fractional-N0", "bool-N0"])
     def test_bad_params_raise_value_error_naming_the_field(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             generate_signal(kind, params, n_trunc=16)
+
+    @pytest.mark.parametrize("n0", [3, 3.0, np.int64(3)])
+    def test_integral_N0_kept(self, n0):
+        assert generate_signal("parametric", {"N0": n0}, n_trunc=16).params["N0"] == 3
 
 
 class TestObservedData:

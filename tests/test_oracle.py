@@ -320,6 +320,8 @@ class TestScaleClasses:
         ("parametric-hyperrect", {"N0": 99}),
         ("sobolev-hyperrect", [("beta", 1.0)]),
         ("analytic-ellipsoid", {"c": None}),
+        ("parametric-hyperrect", {"N0": 2.5}),
+        ("parametric-hyperrect", {"N0": True}),
     ])
     def test_rejects_bad_parameters(self, name, params):
         """Scales take the parameter checks of the signal families."""

@@ -1,12 +1,14 @@
 """The package namespace: one list of public names, each bound to its
-stage module's object; no module imports a name it does not use, and
-importing the package loads numpy but not scipy."""
+stage module's object; no module imports a name it does not use or reads
+the environment, every spec field annotation has a check, and importing
+the package loads numpy but not scipy."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,21 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    """Run settings come from the spec and the command line alone."""
+    offenders = [
+        (path.name, token)
+        for path in sorted(SRC.glob("*.py"))
+        for token in ("environ", "getenv")
+        if token in path.read_text()
+    ]
+    assert offenders == []
+
+
+def test_every_spec_field_annotation_has_a_check():
+    from seqcred.experiments import _FIELD_CHECKS, ExperimentSpec
+
+    unchecked = {f.name: f.type for f in fields(ExperimentSpec) if f.type not in _FIELD_CHECKS}
+    assert unchecked == {}
