@@ -32,7 +32,7 @@ from .oracle import (
     surrogate_oracle,
     verify_sigma_conditions,
 )
-from .posterior import DdmParams, eb_index, make_posterior, validate_params
+from .posterior import DdmParams, eb_index, make_posterior
 from .streams import stream
 from .experiments import ExperimentSpec, default_spec, run_experiment, EXPERIMENT_KINDS
 
@@ -250,7 +250,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify_constants(args) -> int:
     model = make_model(1.0, args.p, max(2, args.n_max))
     cond = verify_sigma_conditions(model, args.n_max, rho=args.rho, gamma=args.gamma, tau0=args.tau0)
-    diag = validate_params(args.K, args.alpha, args.p)
+    params = DdmParams(K=args.K, alpha=args.alpha)
     volume_ok = True
     for k in (1, 2, 5, 10, 50, 200):
         for r in (0.1, 1.0, 10.0):
@@ -265,13 +265,13 @@ def _cmd_verify_constants(args) -> int:
             "p": args.p,
         },
         "params": {
-            "K": diag.K,
-            "alpha": diag.alpha,
-            "a_k": diag.a_k,
-            "upper_regime": diag.upper_regime,
-            "lower_regime": diag.lower_regime,
-            "penalty": diag.penalty,
-            "delta_sb": diag.delta_sb,
+            "K": params.K,
+            "alpha": params.alpha,
+            "a_k": params.a_k,
+            "upper_regime": params.upper_regime,
+            "lower_regime": params.lower_regime,
+            "penalty": params.penalty,
+            "delta_sb": params.delta_sb(args.p),
         },
         "volume_bound_ok": volume_ok,
     }

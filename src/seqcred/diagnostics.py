@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .credible import MIN_MC_SAMPLES, default_center
-from .model import ModelConfig, Signal
+from .model import ModelConfig, Signal, _integer
 from .oracle import oracle, sigma_constants, surrogate_oracle
-from .posterior import DdmParams, DdmPosterior, make_posterior, mixture_weights, sample_posterior
+from .posterior import DdmParams, make_posterior, mixture_weights, sample_posterior
 from .streams import data_set, stream
 
 __all__ = [
@@ -96,21 +96,6 @@ def _as_grid(values) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _center_for(
-    posterior: DdmPosterior,
-    center_rule: str,
-    mc_samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """Resolve a center per the rule; second slot flags a failed verification."""
-    if center_rule == "posterior-mean":
-        return posterior.mean(), False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = default_center(posterior, mc_samples=mc_samples, seed=rng)
-    return result.center, not result.verified
-
-
 class Replication(NamedTuple):
     """One replication of the credible-ball pipeline.
 
@@ -134,14 +119,21 @@ def replicate(
     distances: bool = True,
 ) -> Replication:
     """Simulate data set ``rep``, form its mixture posterior, resolve the
-    center and measure mc fresh posterior draws against it.
+    center by the rule (flagged when a default center fails verification)
+    and measure mc fresh posterior draws against it.
 
     Its streams under seed_seq are the two estimator-seed rows of the
     table in :mod:`seqcred.streams`.
     """
     posterior = make_posterior(data_set(model, signal, seed_seq, rep, 0), params)
     rng = np.random.default_rng(stream(seed_seq, rep, 1))
-    center, flagged = _center_for(posterior, center_rule, mc, rng)
+    if center_rule == "posterior-mean":
+        center, flagged = posterior.mean(), False
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = default_center(posterior, mc_samples=mc, seed=rng)
+        center, flagged = result.center, not result.verified
     if not distances:
         return Replication(center, flagged, None)
     return Replication(center, flagged, np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center)))
@@ -421,11 +413,11 @@ class BallVolume:
 def ball_volume_bound(k: int, r: float) -> BallVolume:
     """Stirling-type upper bound e pi^{-1/2} r^k k^{-(k+1)/2} (2 pi e)^{k/2}
     against the exact volume r^k pi^{k/2} / Gamma(1 + k/2)."""
+    k = _integer(k, "dimension k")
     if k < 1:
         raise ValueError(f"dimension k must be a positive integer, got {k}")
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    k = int(k)
     log_r = math.log(r)
     log_exact = k * log_r + 0.5 * k * math.log(math.pi) - math.lgamma(1.0 + 0.5 * k)
     log_bound = (

@@ -35,7 +35,7 @@ import numpy as np
 
 from .credible import radius_from_distances
 from .diagnostics import check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
-from .model import ModelConfig, Signal, generate_signal, make_model
+from .model import Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
 from .streams import PILOT_KEY, SIGNAL_KEY, data_set, seed_int, stream
@@ -154,14 +154,13 @@ class ExperimentSpec:
         for eps in self.eps_grid:
             make_model(eps, self.p, self.n_trunc)
         DdmParams(K=self.K, alpha=self.alpha)
-        try:
-            for i, desc in enumerate(self.signals):
-                for eps in self.eps_grid:
-                    _build_signal(self, i, eps)
-            for desc in self.scales:
-                scale_class(desc.get("name"), dict(desc.get("params", {})), self.n_trunc)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"bad entry {desc!r}: {exc}") from exc
+        for entries in ("signals", "scales"):
+            for i, desc in enumerate(getattr(self, entries)):
+                try:
+                    for eps in self.eps_grid:
+                        _build_entry(self, entries, i, eps)
+                except (TypeError, KeyError, ValueError) as exc:
+                    raise ValueError(f"bad entry {desc!r}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {}
@@ -268,23 +267,31 @@ def _build_signal(spec: ExperimentSpec, sig_idx: int, eps: float) -> Signal:
     return generate_signal(kind, params, n_trunc=spec.n_trunc, seed=seed)
 
 
+def _build_entry(spec: ExperimentSpec, entries: str, idx: int, eps: float) -> tuple:
+    """Entry idx of the spec list named entries, with the name and params
+    its CSV rows carry: a signal under its parsed params, a scale class
+    under the params of its spec entry."""
+    if entries == "signals":
+        signal = _build_signal(spec, idx, eps)
+        return signal, signal.kind, dict(signal.params)
+    desc = spec.scales[idx]
+    name, params = desc.get("name"), dict(desc.get("params", {}))
+    return scale_class(name, params, spec.n_trunc), name, params
+
+
 def _row(*values) -> dict:
     """One CSV row from its values, in the order of CSV_COLUMNS."""
     return {col: convert(v) for (col, convert), v in zip(_COLUMNS.items(), values, strict=True)}
 
 
-def _model_and_params(spec: ExperimentSpec, eps: float) -> tuple[ModelConfig, DdmParams]:
-    return make_model(eps, spec.p, spec.n_trunc), DdmParams(K=spec.K, alpha=spec.alpha)
-
-
 # ---------------------------------------------------------------------------
-# per-kind cell bodies.  Each returns ((entry kind, entry params), stats,
-# summary): stats holds (row kind suffix, grid value, statistic, std error)
-# tuples, which _cell_worker writes as CSV rows "<kind>:<suffix>"
+# per-kind cell bodies, called as body(spec, cell_idx, entry_idx, entry,
+# model, params, *extra) with the entry (a Signal or a scale class), the
+# ModelConfig and the DdmParams that _cell_worker builds.  Each returns
+# (stats, summary): stats holds (row kind suffix, grid value, statistic,
+# std error) tuples, which _cell_worker writes as CSV rows "<kind>:<suffix>"
 
-def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
+def _cell_contraction(spec, cell_idx, sig_idx, signal, model, params):
     ests = estimate_phi1(
         spec.m_grid,
         model,
@@ -318,12 +325,10 @@ def _cell_contraction(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: fl
         "center_flags": ests[0].center_flags,
         "oracle_rate": ests[0].scale,
     }
-    return (signal.kind, dict(signal.params)), stats, summary
+    return stats, summary
 
 
-def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
+def _cell_oracle_inequality(spec, cell_idx, sig_idx, signal, model, params):
     orc = oracle(signal, model)
     r2 = orc.rate_sq
     theta0 = signal.padded(spec.n_trunc)
@@ -350,12 +355,10 @@ def _cell_oracle_inequality(spec: ExperimentSpec, cell_idx: int, sig_idx: int, e
         "oracle_rate_sq": r2,
         "oracle_index": orc.i_star,
     }
-    return (signal.kind, dict(signal.params)), stats, summary
+    return stats, summary
 
 
-def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
+def _cell_small_ball(spec, cell_idx, sig_idx, signal, model, params):
     deltas = np.asarray(spec.delta_grid, dtype=float)
     envelope = deltas * np.log(1.0 / deltas) ** (spec.p + 0.5)
     ref_idx = int(np.argmax(deltas))
@@ -393,16 +396,14 @@ def _cell_small_ball(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: flo
         "scalings": per_scaling,
         "envelope_ok": bool(all(v["envelope_ok"] for v in per_scaling.values())),
     }
-    return (signal.kind, dict(signal.params)), stats, summary
+    return stats, summary
 
 
-def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float, pilot: bool):
+def _coverage_reps(spec, cell_idx, signal, model, params, pilot: bool):
     """Replications of one coverage cell; the pilot pass has its own seed
-    namespace.  Returns (signal, EBR check, oracle rate, center gaps,
-    radius-hats, inner small-ball masses at _DUALITY_DELTA times the rate,
-    count of failed default-center verifications)."""
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
+    namespace.  Returns (EBR check, oracle rate, center gaps, radius-hats,
+    inner small-ball masses at _DUALITY_DELTA times the rate, count of
+    failed default-center verifications)."""
     theta0 = signal.padded(spec.n_trunc)
     rate = oracle(signal, model).rate
     if pilot:
@@ -417,12 +418,12 @@ def _coverage_reps(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float
         gaps[rep] = np.linalg.norm(theta0 - center)
         radii[rep] = radius_from_distances(dists, spec.kappa).value
         smalls[rep] = np.mean(dists <= _DUALITY_DELTA * rate)
-    return signal, ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls, flags
+    return ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls, flags
 
 
-def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
+def _cell_coverage_pilot(spec, cell_idx, sig_idx, signal, model, params):
     """Pilot quantiles used to calibrate the inflation C and size threshold c."""
-    signal, ebr, rate, gaps, radii, _, flags = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=True)
+    ebr, rate, gaps, radii, _, flags = _coverage_reps(spec, cell_idx, signal, model, params, pilot=True)
     miss_ratios = np.divide(gaps, radii, out=np.full(len(gaps), math.inf), where=radii > 0)
     summary = {
         "ebr_member": ebr.member,
@@ -431,18 +432,11 @@ def _cell_coverage_pilot(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps:
         "q99_size_ratio": float(np.quantile(radii / rate, 0.99)),
         "center_flags": flags,
     }
-    return (signal.kind, dict(signal.params)), [], summary
+    return [], summary
 
 
-def _cell_coverage_main(
-    spec: ExperimentSpec,
-    cell_idx: int,
-    sig_idx: int,
-    eps: float,
-    inflation: float,
-    c_list: tuple,
-):
-    signal, ebr, rate, gaps, radii, smalls, flags = _coverage_reps(spec, cell_idx, sig_idx, eps, pilot=False)
+def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params, inflation, c_list):
+    ebr, rate, gaps, radii, smalls, flags = _coverage_reps(spec, cell_idx, signal, model, params, pilot=False)
 
     def _freq_se(hits: np.ndarray) -> tuple[float, float]:
         f = float(hits.mean())
@@ -482,12 +476,10 @@ def _cell_coverage_main(
         "radius_mean": radius_mean,
         "center_flags": flags,
     }
-    return (signal.kind, dict(signal.params)), stats, summary
+    return stats, summary
 
 
-def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: float):
-    signal = _build_signal(spec, sig_idx, eps)
-    model, params = _model_and_params(spec, eps)
+def _cell_overshrinkage(spec, cell_idx, sig_idx, signal, model, params):
     theta0 = signal.padded(spec.n_trunc)
     i_bar = surrogate_oracle(signal, model).i_bar
     head = slice(0, i_bar)
@@ -518,15 +510,10 @@ def _cell_overshrinkage(spec: ExperimentSpec, cell_idx: int, sig_idx: int, eps: 
         mean_rel[lab], se = map(float, mean_and_se(rel[:, k]))
         stats += [("max-rel-gap", lab, max_rel[lab], 0.0), ("mean-rel-gap", lab, mean_rel[lab], se)]
     summary = {"i_bar": i_bar, "L": L, "max_rel": max_rel, "mean_rel": mean_rel}
-    return (signal.kind, dict(signal.params)), stats, summary
+    return stats, summary
 
 
-def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, eps: float):
-    desc = spec.scales[scale_idx]
-    name = desc["name"]
-    sparams = dict(desc.get("params", {}))
-    model = make_model(eps, spec.p, spec.n_trunc)
-    cls = scale_class(name, sparams, spec.n_trunc)
+def _cell_scale_adaptation(spec, cell_idx, scale_idx, cls, model, params):
     report = covers_check(cls, model, n_samples=spec.n_cover_samples, seed=stream(spec.master_seed, cell_idx, 0))
     stats = [
         ("worst-ratio", "ratio", report.worst_ratio, 0.0),
@@ -542,7 +529,7 @@ def _cell_scale_adaptation(spec: ExperimentSpec, cell_idx: int, scale_idx: int, 
         "lambda_all_hold": report.lambda_all_hold,
         "lambda_worst_margin": report.lambda_worst_margin,
     }
-    return (name, sparams), stats, summary
+    return stats, summary
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +670,9 @@ def _cell_worker(job):
     spec, cell_idx, (i, j), body, extra = job
     eps = spec.eps_grid[j]
     try:
-        (name, params), stats, summary = body(spec, cell_idx, i, eps, *extra)
+        entry, name, params = _build_entry(spec, _KINDS[spec.kind].entries, i, eps)
+        model = make_model(eps, spec.p, spec.n_trunc)
+        stats, summary = body(spec, cell_idx, i, entry, model, DdmParams(K=spec.K, alpha=spec.alpha), *extra)
         seed = seed_int(stream(spec.master_seed, cell_idx))
         rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
                 for suffix, grid, stat, se in stats]

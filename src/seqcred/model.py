@@ -80,18 +80,22 @@ def tail_sums(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Noise specification sigma_i = epsilon * i^p for i = 1..n_trunc."""
+    """Noise specification sigma_i = epsilon * i^p for i = 1..n_trunc, stored
+    as two floats and an int; strings, bools and fractions are refused."""
 
     epsilon: float
     p: float
     n_trunc: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        object.__setattr__(self, "p", _real(self.p, "p"))
+        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc"))
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.p >= 0 and math.isfinite(self.p)):
             raise ValueError(f"p must be nonnegative and finite, got {self.p}")
-        if isinstance(self.n_trunc, bool) or not isinstance(self.n_trunc, int) or self.n_trunc < 1:
+        if self.n_trunc < 1:
             raise ValueError(f"n_trunc must be a positive integer, got {self.n_trunc}")
 
     @cached_property
@@ -122,9 +126,9 @@ class ModelConfig:
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:
-    """Build a ModelConfig; rejects epsilon <= 0, p < 0, either non-finite,
-    and an n_trunc that is below 1, a bool or not integral."""
-    return ModelConfig(epsilon=float(epsilon), p=float(p), n_trunc=_integer(n_trunc, "n_trunc"))
+    """Build a ModelConfig; rejects epsilon <= 0, p < 0, either non-finite
+    or not a number, and an n_trunc that is below 1, a bool or not integral."""
+    return ModelConfig(epsilon=epsilon, p=p, n_trunc=n_trunc)
 
 
 @dataclass(frozen=True)
@@ -180,23 +184,38 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _integer(value: Any, name: str) -> int:
-    """An int, a numpy integer or an integral float as an int; a bool or a
-    fraction is a ValueError naming the field, never truncated."""
-    _require(int(value) == value and not isinstance(value, (bool, np.bool_)),
-             f"{name} must be an integer, got {value!r}")
+    """An int, a numpy integer or an integral float as an int; a bool, a
+    string or a fraction is a ValueError naming the field, never truncated."""
+    try:
+        ok = int(value) == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    _require(ok, f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _param(params: Mapping[str, Any], name: str, default: Any = None, cast: type = float) -> Any:
-    """params[name] (or its default) cast to a float or an int, or a
-    ValueError naming it."""
-    _require(name in params or default is not None, f"missing parameter {name!r}")
-    value = params.get(name, default)
+def _real(value: Any, name: str) -> float:
+    """A number as a float; a string, a bool or a non-number is a ValueError
+    naming the field, never parsed."""
     try:
-        number = cast(value)
+        if not isinstance(value, (str, bytes, bool, np.bool_)):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
-    return _integer(value, f"parameter {name!r}") if cast is int else number
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _param(params: Mapping[str, Any], name: str, default: Any = None, cast: type = float) -> Any:
+    """params[name] (or its default) as a float, or with cast=int as an int
+    (a non-finite value is no number), or a ValueError naming it."""
+    _require(name in params or default is not None, f"missing parameter {name!r}")
+    value, label = params.get(name, default), f"parameter {name!r}"
+    if cast is float:
+        return _real(value, label)
+    # a bool fails as an integer; a string, nan or inf as a number
+    _require(isinstance(value, (bool, np.bool_)) or math.isfinite(_real(value, label)),
+             f"{label} must be a number, got {value!r}")
+    return _integer(value, label)
 
 
 def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[np.ndarray, dict[str, Any]]:
@@ -257,7 +276,8 @@ def generate_signal(
     params = {} if params is None else params
     _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
     params = dict(params)
-    _require(isinstance(n_trunc, int) and n_trunc >= 1, f"n_trunc must be a positive integer, got {n_trunc}")
+    n_trunc = _integer(n_trunc, "n_trunc")
+    _require(n_trunc >= 1, f"n_trunc must be a positive integer, got {n_trunc}")
 
     if kind == "zero":
         return Signal(np.zeros(n_trunc), kind, {})

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .model import ModelConfig, Signal, family_radii, pad, tail_sums
+from .model import ModelConfig, Signal, _integer, family_radii, pad, tail_sums
 
 __all__ = [
     "OracleResult",
@@ -139,7 +139,7 @@ def pt_check(signal: Signal, L0: float, N0: int, rho0: float) -> bool:
     energy in the window [N, floor(rho0*N)], for every N0 <= N <= len(signal)."""
     if not L0 >= 1:
         raise ValueError(f"L0 must be >= 1, got {L0}")
-    if not (isinstance(N0, (int, np.integer)) and N0 >= 1):
+    if not _integer(N0, "N0") >= 1:
         raise ValueError(f"N0 must be a positive integer, got {N0}")
     if not rho0 >= 2:
         raise ValueError(f"rho0 must be >= 2, got {rho0}")

@@ -17,15 +17,13 @@ from typing import Literal
 
 import numpy as np
 
-from .model import ObservedData, pad, tail_sums
+from .model import ObservedData, _integer, pad, tail_sums
 
 __all__ = [
     "DdmParams",
-    "ParamDiagnostics",
     "MixtureWeights",
     "DdmPosterior",
     "PosteriorDraws",
-    "validate_params",
     "mixture_weights",
     "eb_index",
     "crit",
@@ -44,8 +42,9 @@ class DdmParams:
 
     Derived quantities: L = K/(K+1) (component shrinkage), the normalized
     geometric prior lambda_I = (e^alpha - 1) e^{-alpha I}, the regime
-    boundary a(K) = 1/4 - log((K+1)/2)/2, and the penalty constant
-    log(K+1) + 2 alpha of the equivalent projection criterion.
+    boundary a(K) = 1/4 - log((K+1)/2)/2, the penalty constant
+    log(K+1) + 2 alpha of the equivalent projection criterion, and the two
+    advisory regime flags.
     """
 
     K: float = 2.0
@@ -73,6 +72,16 @@ class DdmParams:
     def penalty(self) -> float:
         return math.log(self.K + 1.0) + 2.0 * self.alpha
 
+    @property
+    def upper_regime(self) -> bool:
+        """K >= 1.87, where the contraction constant is controlled."""
+        return bool(self.K >= 1.87)
+
+    @property
+    def lower_regime(self) -> bool:
+        """alpha < a(K), where the small-ball lower bound applies."""
+        return bool(self.alpha < self.a_k)
+
     def log_lambda(self, i: np.ndarray | int) -> np.ndarray | float:
         """Log prior weight of index I (normalized over I >= 1)."""
         return math.log(self.c_alpha) - self.alpha * np.asarray(i, dtype=float)
@@ -87,37 +96,6 @@ class DdmParams:
             return math.nan
         base = (a - self.alpha) / (4.0 * math.e * a)
         return min(1.0, math.sqrt(self.K * (2.0 * p + 1.0) / (self.K + 1.0)) * base ** (p + 0.5))
-
-
-@dataclass(frozen=True)
-class ParamDiagnostics:
-    K: float
-    alpha: float
-    p: float
-    a_k: float
-    upper_regime: bool
-    lower_regime: bool
-    penalty: float
-    delta_sb: float
-
-
-def validate_params(K: float, alpha: float, p: float = 0.0) -> ParamDiagnostics:
-    """Advisory check of the hyperparameter regimes.
-
-    upper_regime: K >= 1.87, where the contraction constant is controlled;
-    lower_regime: alpha < a(K), where the small-ball lower bound applies.
-    """
-    params = DdmParams(K=K, alpha=alpha)
-    return ParamDiagnostics(
-        K=float(K),
-        alpha=float(alpha),
-        p=float(p),
-        a_k=params.a_k,
-        upper_regime=bool(K >= 1.87),
-        lower_regime=bool(alpha < params.a_k),
-        penalty=params.penalty,
-        delta_sb=params.delta_sb(p),
-    )
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -171,6 +149,17 @@ def _increments(data: ObservedData, params: DdmParams, i_max: int, shrunk: bool)
     return -params.alpha + x2 / (2.0 * sig2) - 0.5 * log_var_ratio
 
 
+def _index_weights(data: ObservedData, params: DdmParams, i_max: int | None, shrunk: bool) -> MixtureWeights:
+    """Index weights over I = 1..i_max (all of the data when None): the
+    increments cumulated from log u_1 = 0, then normalized."""
+    n = len(data)
+    i_max = n if i_max is None else _integer(i_max, "i_max")
+    if not (1 <= i_max <= n):
+        raise ValueError(f"i_max must be in [1, {n}], got {i_max}")
+    inc = _increments(data, params, i_max, shrunk)
+    return MixtureWeights.from_unnormalized(np.concatenate(([0.0], np.cumsum(inc))))
+
+
 def mixture_weights(data: ObservedData, params: DdmParams, i_max: int | None = None) -> MixtureWeights:
     """Posterior distribution of the projection level I given the data.
 
@@ -179,19 +168,7 @@ def mixture_weights(data: ObservedData, params: DdmParams, i_max: int | None = N
                             - log(1 + K eps^2 / sigma_{I+1}^2) / 2,
     started from I = 1 and normalized by log-sum-exp.
     """
-    i_max = _check_i_max(data, i_max)
-    inc = _increments(data, params, i_max, shrunk=False)
-    log_u = np.concatenate(([0.0], np.cumsum(inc)))
-    return MixtureWeights.from_unnormalized(log_u)
-
-
-def _check_i_max(data: ObservedData, i_max: int | None) -> int:
-    n = len(data)
-    if i_max is None:
-        return n
-    if not (1 <= i_max <= n):
-        raise ValueError(f"i_max must be in [1, {n}], got {i_max}")
-    return int(i_max)
+    return _index_weights(data, params, i_max, shrunk=False)
 
 
 def eb_index(weights: MixtureWeights) -> int:
@@ -272,10 +249,7 @@ def shrunk_full_bayes(data: ObservedData, params: DdmParams, i_max: int | None =
     Kept as a contrast object: its posterior mean tracks L*theta rather
     than theta (the over-shrinkage effect of centering the prior at zero).
     """
-    i_max = _check_i_max(data, i_max)
-    inc = _increments(data, params, i_max, shrunk=True)
-    log_u = np.concatenate(([0.0], np.cumsum(inc)))
-    weights = MixtureWeights.from_unnormalized(log_u)
+    weights = _index_weights(data, params, i_max, shrunk=True)
     return DdmPosterior(data=data, params=params, weights=weights, variant="full-bayes-shrunk")
 
 

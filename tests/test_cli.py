@@ -533,6 +533,24 @@ class TestVerifyConstants:
         assert payload["params"]["lower_regime"] is False
         assert math.isnan(payload["params"]["delta_sb"])
 
+    @pytest.mark.parametrize("argv", [["--p", "0"], ["--p", "1", "--K", "1", "--alpha", "0.3"], ["--p", "0.5"]])
+    def test_params_block_is_read_from_ddm_params(self, argv, capsys):
+        code, out, _ = run_cli(["verify-constants", "--n-max", "200", *argv], capsys)
+        assert code == 0
+        args = dict(zip(argv[::2], map(float, argv[1::2])))
+        params = DdmParams(K=args.get("--K", 2.0), alpha=args.get("--alpha", 0.04))
+        want = {
+            "K": params.K,
+            "alpha": params.alpha,
+            "a_k": params.a_k,
+            "upper_regime": params.upper_regime,
+            "lower_regime": params.lower_regime,
+            "penalty": params.penalty,
+            "delta_sb": params.delta_sb(args["--p"]),
+        }
+        # NaN != NaN, so compare the JSON texts, which print it as NaN
+        assert json.dumps(json.loads(out)["params"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "constants.json"
         code, stdout, _ = run_cli(

@@ -233,6 +233,12 @@ class TestBallVolume:
             ball_volume_bound(0, 1.0)
         with pytest.raises(ValueError):
             ball_volume_bound(3, 0.0)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="dimension k must be an integer"):
+                ball_volume_bound(bad, 1.0)
+
+    def test_integral_dimension_kept(self):
+        assert ball_volume_bound(2.0, 1.0) == ball_volume_bound(np.int64(2), 1.0) == ball_volume_bound(2, 1.0)
 
 
 class TestContractionConstant:

@@ -118,6 +118,8 @@ class TestSpec:
         dict(kind="scale-adaptation", scales=({"name": "analytic-ellipsoid", "params": {"c": 0.0}},)),
         dict(kind="contraction", signals=({"kind": "parametric", "params": {"N0": 2.5}},)),
         dict(kind="contraction", signals=({"kind": "zero"},), pilot_reps=0),
+        dict(kind="contraction", signals=({"kind": "zero"},), scales=({"name": "bogus"},)),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), signals=({"kind": "bogus"},)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

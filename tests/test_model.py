@@ -64,6 +64,8 @@ class TestModelConfig:
             dict(epsilon=0.1, p=math.inf, n_trunc=4),
             dict(epsilon=0.1, p=0.0, n_trunc=96.5),
             dict(epsilon=0.1, p=0.0, n_trunc=True),
+            dict(epsilon="0.1", p=0.0, n_trunc=4),
+            dict(epsilon=True, p=0.0, n_trunc=4),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -142,6 +144,16 @@ class TestSignalFamilies:
     def test_rejects_bad_family_parameters(self, kind, params):
         with pytest.raises(ValueError):
             generate_signal(kind, params, n_trunc=16)
+
+    @pytest.mark.parametrize("kind", ["zero", "sobolev-boundary"])
+    @pytest.mark.parametrize("n_trunc", [0, True, 2.5])
+    def test_rejects_bad_truncation(self, kind, n_trunc):
+        with pytest.raises(ValueError, match="n_trunc must be"):
+            generate_signal(kind, n_trunc=n_trunc)
+
+    @pytest.mark.parametrize("n_trunc", [8, 8.0, np.int64(8)])
+    def test_integral_truncation_kept(self, n_trunc):
+        assert len(generate_signal("sobolev-boundary", n_trunc=n_trunc)) == 8
 
 
 class TestZeroTail:
@@ -223,8 +235,10 @@ class TestParameterParsing:
         ("sobolev-boundary", [1], "signal params must be a JSON object"),
         ("parametric", {"N0": 2.5}, "parameter 'N0' must be an integer, got 2.5"),
         ("parametric", {"N0": True}, "parameter 'N0' must be an integer, got True"),
+        ("sobolev-boundary", {"beta": "1.5"}, "parameter 'beta' must be a number, got '1.5'"),
+        ("sobolev-boundary", {"Q": True}, "parameter 'Q' must be a number, got True"),
     ], ids=["null-beta", "string-c", "inf-N0", "nan-N0", "no-epsilon", "dict-coeffs", "list-params",
-            "fractional-N0", "bool-N0"])
+            "fractional-N0", "bool-N0", "string-beta", "bool-Q"])
     def test_bad_params_raise_value_error_naming_the_field(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             generate_signal(kind, params, n_trunc=16)

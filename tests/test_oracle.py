@@ -167,11 +167,18 @@ class TestPolishedTail:
         dict(L0=0.5, N0=1, rho0=2.0),
         dict(L0=2.0, N0=0, rho0=2.0),
         dict(L0=2.0, N0=1, rho0=1.5),
+        dict(L0=2.0, N0=True, rho0=2.0),
+        dict(L0=2.0, N0=2.5, rho0=2.0),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         sig = generate_signal("zero", n_trunc=8)
         with pytest.raises(ValueError):
             pt_check(sig, **kwargs)
+
+    @pytest.mark.parametrize("n0", [2.0, np.int64(2)])
+    def test_integral_N0_kept(self, n0):
+        sig = generate_signal("sobolev-boundary", {"beta": 1.0}, n_trunc=16)
+        assert pt_check(sig, 2.0, n0, 2.0) == pt_check(sig, 2.0, 2, 2.0)
 
     def test_tau_transfer_values(self):
         # direct case: K1 = 1, K2 = (rho0*N0 + 1)^1 = 3, so tau = L0 * 3

@@ -1,7 +1,8 @@
 """The package namespace: one list of public names, each bound to its
 stage module's object; no module imports a name it does not use or reads
-the environment, every spec field annotation has a check, and importing
-the package loads numpy but not scipy."""
+the environment, every spec field annotation has a check, no cell body
+builds what the cell worker hands it, and importing the package loads
+numpy but not scipy."""
 
 import ast
 import importlib
@@ -88,3 +89,23 @@ def test_every_spec_field_annotation_has_a_check():
 
     unchecked = {f.name: f.type for f in fields(ExperimentSpec) if f.type not in _FIELD_CHECKS}
     assert unchecked == {}
+
+
+def test_cell_bodies_build_nothing():
+    """_cell_worker builds each cell's entry, model and prior once; the
+    cell bodies and their shared coverage pass take them as arguments."""
+    makers = {"_build_signal", "_build_entry", "make_model", "DdmParams"}
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    bodies = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_cell_") or node.name == "_coverage_reps") and node.name != "_cell_worker"
+    ]
+    calls = {
+        (body.name, node.func.id)
+        for body in bodies
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in makers
+    }
+    assert len(bodies) == 8
+    assert calls == set()

@@ -29,7 +29,6 @@ from seqcred import (
     sample_posterior,
     shrunk_full_bayes,
     simulate,
-    validate_params,
 )
 from seqcred.posterior import _increments, _logsumexp
 
@@ -85,10 +84,10 @@ class TestParams:
         assert math.isnan(DdmParams(K=2.0, alpha=0.05).delta_sb(0.0))
 
     def test_validate_params_flags(self):
-        d = validate_params(2.0, 0.04)
+        d = DdmParams(2.0, 0.04)
         assert d.upper_regime and d.lower_regime
-        assert not validate_params(1.0, 0.04).upper_regime
-        assert not validate_params(2.0, 0.2).lower_regime
+        assert not DdmParams(1.0, 0.04).upper_regime
+        assert not DdmParams(2.0, 0.2).lower_regime
 
 
 class TestWeights:
@@ -115,6 +114,16 @@ class TestWeights:
             mixture_weights(small_data, params, i_max=0)
         with pytest.raises(ValueError):
             mixture_weights(small_data, params, i_max=257)
+        for build in (mixture_weights, make_posterior, shrunk_full_bayes):
+            for bad in (2.5, True):
+                with pytest.raises(ValueError, match="i_max must be an integer"):
+                    build(small_data, params, i_max=bad)
+
+    @pytest.mark.parametrize("i_max", [3.0, np.int64(3)])
+    def test_integral_i_max_kept(self, small_data, params, i_max):
+        assert mixture_weights(small_data, params, i_max=i_max).i_max == 3
+        assert make_posterior(small_data, params, i_max=i_max).weights.i_max == 3
+        assert shrunk_full_bayes(small_data, params, i_max=i_max).weights.i_max == 3
 
     def test_tail_weights(self, small_data, params):
         w = mixture_weights(small_data, params, i_max=20)
