@@ -76,15 +76,18 @@ def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, x.std(axis=0, ddof=1) / math.sqrt(len(x))
 
 
-def check_estimator_args(center_rule: str, reps: int, inner_mc: int) -> None:
+def check_estimator_args(center_rule: str, reps: int, inner_mc: int) -> tuple[int, int]:
     """Reject a center rule, replication count or inner draw count that no
-    estimator can run; the default center needs MIN_MC_SAMPLES draws."""
+    estimator can run (the default center needs MIN_MC_SAMPLES draws), and
+    return the two counts as ints."""
     if center_rule not in CENTER_RULES:
         raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
+    reps, inner_mc = _integer(reps, "reps"), _integer(inner_mc, "inner_mc")
     if reps < 1 or inner_mc < 1:
         raise ValueError("reps and inner_mc must be positive")
     if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
         raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
+    return reps, inner_mc
 
 
 def _as_grid(values) -> tuple[np.ndarray, bool]:
@@ -227,7 +230,7 @@ def _estimate(
     """Average a per-replication statistic over the grid of values; phi2
     reads only the center, so it draws no distance batch and reports
     inner_mc 0.  Every argument is checked before the first replication."""
-    check_estimator_args(center_rule, reps, inner_mc)
+    reps, inner_mc = check_estimator_args(center_rule, reps, inner_mc)
     grid, scalar = _as_grid(values)
     ss = stream(seed)
     distances = kind != "phi2"
@@ -368,6 +371,7 @@ def oversmoothing_probability(
         raise ValueError(
             f"kappa_frac must lie in [0, {kappa_zero:.6f}), got {kappa_frac}"
         )
+    reps = _integer(reps, "reps")
     if reps < 1:
         raise ValueError("reps must be positive")
     ss = stream(seed)

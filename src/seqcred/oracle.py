@@ -243,6 +243,7 @@ def verify_sigma_conditions(
     A violation indicates an implementation bug, since the constants are
     proven for this noise shape.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     c = sigma_constants(model.p, rho=rho, gamma=gamma, tau0=tau0)
@@ -466,6 +467,7 @@ def covers_check(
     with lambda_i >= 1/2.  Both inequalities are exact, so no tolerance is
     applied.
     """
+    n_samples = _integer(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     a = _padded_radii(cls, model)
     n = model.n_trunc

@@ -138,14 +138,18 @@ class MixtureWeights:
 
 
 def _increments(data: ObservedData, params: DdmParams, i_max: int, shrunk: bool) -> np.ndarray:
-    """Log-weight increments for coordinates 2..i_max (index j-2 in the output)."""
-    model = data.model
-    sig2 = model.sigma_sq[1:i_max]
+    """Log-weight increments for coordinates 2..i_max (index j-2 in the output).
+
+    The prior variance of coordinate j is K sigma_j^2, the scale of the
+    component draws L sigma_j^2, so the data enter only through X_j / sigma_j.
+    """
+    sig2 = data.model.sigma_sq[1:i_max]
     x2 = data.x[1:i_max] ** 2
-    k_eps2 = params.K * model.epsilon**2
-    log_var_ratio = np.log1p(k_eps2 / sig2)
+    prior_var = params.K * sig2
+    # log(K+1) per coordinate, in the rounding the pinned p = 0 outputs carry
+    log_var_ratio = np.log1p(prior_var / sig2)
     if shrunk:
-        return -params.alpha - 0.5 * log_var_ratio + (x2 / (2.0 * sig2)) * (k_eps2 / (sig2 + k_eps2))
+        return -params.alpha - 0.5 * log_var_ratio + (x2 / (2.0 * sig2)) * (prior_var / (sig2 + prior_var))
     return -params.alpha + x2 / (2.0 * sig2) - 0.5 * log_var_ratio
 
 
@@ -164,8 +168,7 @@ def mixture_weights(data: ObservedData, params: DdmParams, i_max: int | None = N
     """Posterior distribution of the projection level I given the data.
 
     Computed by the exact log-weight recursion
-    log w_{I+1} - log w_I = -alpha + X_{I+1}^2 / (2 sigma_{I+1}^2)
-                            - log(1 + K eps^2 / sigma_{I+1}^2) / 2,
+    log w_{I+1} - log w_I = -alpha + X_{I+1}^2 / (2 sigma_{I+1}^2) - log(K+1) / 2,
     started from I = 1 and normalized by log-sum-exp.
     """
     return _index_weights(data, params, i_max, shrunk=False)
@@ -179,10 +182,12 @@ def eb_index(weights: MixtureWeights) -> int:
 def crit(data: ObservedData, params: DdmParams, i: int) -> float:
     """Penalized projection criterion -||X(I)||^2 + (log(K+1) + 2 alpha) eps^2 I.
 
-    In the direct case p = 0 its minimizer over I coincides with the
-    smallest posterior mode of the index distribution; it is computable for
-    any p but the equivalence is specific to p = 0.
+    At every p the smallest posterior mode of the index distribution
+    minimizes -sum_{i<=I} X_i^2 / sigma_i^2 + (log(K+1) + 2 alpha) I.  This
+    criterion is that one times eps^2 at p = 0, so only there is its
+    minimizer the mode; it is computable for any p.
     """
+    i = _integer(i, "I")
     if not (1 <= i <= len(data)):
         raise ValueError(f"I must be in [1, {len(data)}], got {i}")
     x = data.x
@@ -208,6 +213,7 @@ class DdmPosterior:
 
     def component_mean(self, i: int) -> np.ndarray:
         """Mean vector of component I (zero beyond I)."""
+        i = _integer(i, "I")
         if not (1 <= i <= len(self.data)):
             raise ValueError(f"I must be in [1, {len(self.data)}], got {i}")
         return pad(self.mean_factor * self.data.x[:i], len(self.data))
@@ -330,6 +336,7 @@ def sample_posterior(
     The draws are built in place on the normals array, so the only matrix
     held beside them is the boolean mask.
     """
+    n_draws = _integer(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(seed)

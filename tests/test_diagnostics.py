@@ -95,6 +95,12 @@ class TestConditionEstimators:
         lambda m, s, p: estimate_psi(-0.1, m, s, p),
         lambda m, s, p: estimate_psi(0.1, m, s, p, scaling="variance"),
         lambda m, s, p: estimate_psi([], m, s, p),
+        lambda m, s, p: estimate_phi1(1.0, m, s, p, reps=2.5),
+        lambda m, s, p: estimate_phi1(1.0, m, s, p, reps=True),
+        lambda m, s, p: estimate_phi1(1.0, m, s, p, reps="3"),
+        lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps=2.5),
+        lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps=True),
+        lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps="3"),
     ])
     def test_rejects_bad_arguments(self, tiny_model, tiny_signal, params, bad):
         with pytest.raises(ValueError):

@@ -263,6 +263,9 @@ class TestSigmaConditions:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
             verify_sigma_conditions(make_model(0.1, 0.0, 8), n_max=0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                verify_sigma_conditions(make_model(0.1, 0.0, 8), n_max=bad)
 
 
 class TestScaleClasses:
@@ -388,6 +391,13 @@ class TestCoversCheck:
         a = covers_check(cls, m, n_samples=30, seed=3, lambda_trials=50)
         b = covers_check(cls, m, n_samples=30, seed=3, lambda_trials=50)
         assert a == b
+
+    def test_rejects_bad_sample_count(self):
+        m = make_model(0.1, 0.0, 64)
+        cls = scale_class("sobolev-ellipsoid", {"beta": 1.0, "Q": 1.0}, 64)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                covers_check(cls, m, n_samples=bad, seed=3, lambda_trials=50)
 
 
 @settings(max_examples=30, deadline=None)

@@ -30,23 +30,25 @@ from seqcred import (
     shrunk_full_bayes,
     simulate,
 )
+from seqcred.experiments import default_spec, run_experiment
 from seqcred.posterior import _increments, _logsumexp
 
 from conftest import rng_datasets
 
 
 def direct_log_weights(data, params, i_max, shrunk=False):
-    """Reference: evaluate every component marginal density from scratch."""
+    """Reference: evaluate every component marginal density from scratch,
+    with prior variance v_j = K sigma_j^2 on coordinate j."""
     x = data.x[:i_max]
     sig = data.model.sigma[:i_max]
-    v = params.K * data.model.epsilon**2
+    v = params.K * sig**2
     out = np.empty(i_max)
     for i in range(1, i_max + 1):
         if shrunk:
-            head = norm.logpdf(x[:i], loc=0.0, scale=np.sqrt(sig[:i] ** 2 + v)).sum()
+            head = norm.logpdf(x[:i], loc=0.0, scale=np.sqrt(sig[:i] ** 2 + v[:i])).sum()
         else:
-            # density of X_j at its own mean: (2 pi (v + sigma_j^2))^{-1/2}
-            head = -0.5 * np.log(2.0 * math.pi * (v + sig[:i] ** 2)).sum()
+            # density of X_j at its own mean: (2 pi (v_j + sigma_j^2))^{-1/2}
+            head = -0.5 * np.log(2.0 * math.pi * (v[:i] + sig[:i] ** 2)).sum()
         tail = norm.logpdf(x[i:], loc=0.0, scale=sig[i:]).sum()
         out[i - 1] = params.log_lambda(i) + head + tail
     return out - logsumexp(out)
@@ -192,6 +194,9 @@ class TestEbIndexAndCrit:
     def test_crit_rejects_out_of_range(self, small_data, params):
         with pytest.raises(ValueError):
             crit(small_data, params, 0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="I must be an integer"):
+                crit(small_data, params, bad)
 
 
 class TestPosteriorMean:
@@ -214,6 +219,14 @@ class TestPosteriorMean:
         expected = np.zeros(256)
         expected[:i_hat] = small_data.x[:i_hat]
         np.testing.assert_array_equal(post.mean(), expected)
+
+    def test_component_mean_rejects_bad_index(self, small_data, params):
+        post = make_posterior(small_data, params)
+        with pytest.raises(ValueError):
+            post.component_mean(0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="I must be an integer"):
+                post.component_mean(bad)
 
     def test_unknown_variant(self, small_data, params):
         with pytest.raises(ValueError):
@@ -328,8 +341,49 @@ class TestSampling:
             draws.projection_sq_dists(small_data.x, [len(small_data) + 1])
 
     def test_rejects_zero_draws(self, small_data, params):
+        post = make_posterior(small_data, params)
         with pytest.raises(ValueError):
-            sample_posterior(make_posterior(small_data, params), 0, seed=1)
+            sample_posterior(post, 0, seed=1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_draws must be an integer"):
+                sample_posterior(post, bad, seed=1)
+
+
+class TestGrowingNoise:
+    """At p > 0 the index weights see the data only through X_i / sigma_i,
+    so the index posterior does not drift to n_trunc as sigma_i grows."""
+
+    @pytest.mark.parametrize("shrunk", [False, True], ids=["mixture", "shrunk"])
+    def test_weights_read_only_the_standardized_data(self, params, shrunk):
+        z = np.random.default_rng(20261018).standard_normal(512)
+        log_w = []
+        for p in (0.0, 0.5, 1.0, 2.0):
+            data = observed(make_model(0.1, p, 512).sigma * z, eps=0.1, p=p)
+            post = shrunk_full_bayes(data, params) if shrunk else make_posterior(data, params)
+            log_w.append(post.weights.log_w)
+        for other in log_w[1:]:
+            np.testing.assert_allclose(other, log_w[0], rtol=0.0, atol=1e-12)
+
+    def test_mean_index_on_noise_does_not_grow_with_n_trunc(self, params):
+        means = []
+        for n in (256, 1024, 4096):
+            model = make_model(0.05, 1.0, n)
+            zero = generate_signal("zero", n_trunc=n)
+            means.append(np.mean([
+                mixture_weights(simulate(model, zero, seed), params).w @ np.arange(1, n + 1)
+                for seed in range(20)
+            ]))
+        assert max(means) <= 2.0 * means[0], means
+
+    def test_zero_signal_risk_ratio_does_not_grow_with_n_trunc(self):
+        ratios = []
+        for n in (256, 1024, 4096):
+            spec = default_spec(
+                "oracle-inequality", p=1.0, n_trunc=n, signals=({"kind": "zero", "params": {}},),
+                eps_grid=(0.05,), reps=40, pilot_reps=2,
+            )
+            ratios.append(run_experiment(spec).summary["cells"][0]["ratio"])
+        assert ratios[-1] <= 2.0 * ratios[0], ratios
 
 
 @settings(max_examples=25, deadline=None)
