@@ -1,6 +1,6 @@
-"""Monte-Carlo estimators for the size / small-ball / miss conditions, the
-bounds they imply for inflated credible balls, oversmoothing mass, and the
-Euclidean ball-volume bound used in the lower-bound arguments.
+"""Monte-Carlo estimators for the size / small-ball / miss conditions,
+oversmoothing mass, and the Euclidean ball-volume bound used in the
+lower-bound arguments.
 
 All estimators are nested Monte Carlo: an outer loop over simulated data
 sets and (where needed) an inner loop over posterior draws.  Grids of
@@ -19,13 +19,12 @@ import numpy as np
 
 from .credible import MIN_MC_SAMPLES, default_center
 from .model import ModelConfig, Signal, _integer
-from .oracle import oracle, sigma_constants, surrogate_oracle
+from .oracle import oracle, surrogate_oracle
 from .posterior import DdmParams, make_posterior, mixture_weights, sample_posterior
 from .streams import data_set, stream
 
 __all__ = [
     "ConditionEstimate",
-    "PropositionBounds",
     "OversmoothingResult",
     "BallVolume",
     "Replication",
@@ -35,11 +34,8 @@ __all__ = [
     "estimate_phi1",
     "estimate_psi",
     "estimate_phi2",
-    "proposition_bounds",
-    "remark1_transfer",
     "oversmoothing_probability",
     "ball_volume_bound",
-    "contraction_constant_reference",
 ]
 
 CENTER_RULES = ("default-center", "posterior-mean")
@@ -258,85 +254,6 @@ def _estimate(
 
 
 @dataclass(frozen=True)
-class PropositionBounds:
-    """Bounds implied by condition values at one (M, delta) pair.
-
-    miss_bound caps the probability that the inflated ball misses the
-    truth; size_bound caps the probability that the data-driven radius
-    exceeds M/delta times the oracle rate; coverage_upper caps coverage
-    itself (the anti-consistency direction) when the condition values come
-    from a deceptive signal.
-    """
-
-    miss_bound: float
-    size_bound: float
-    coverage_upper: float
-    kappa: float
-    M: float
-    delta: float
-
-
-def proposition_bounds(
-    phi1: float,
-    psi: float,
-    phi2: float,
-    M: float,
-    delta: float,
-    kappa: float,
-) -> PropositionBounds:
-    """Combine condition values into the three operational bounds.
-
-    phi2 is understood as evaluated at M*delta (the miss yardstick for a
-    ball whose radius is compared against delta times the rate), phi1 at M,
-    psi at delta; the caller is responsible for matching the arguments.
-    """
-    for name, v in (("phi1", phi1), ("psi", psi), ("phi2", phi2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0,1], got {v}")
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0,1), got {kappa}")
-    if M <= 0 or delta <= 0:
-        raise ValueError("M and delta must be positive")
-    miss = phi2 + psi / (1.0 - kappa)
-    size = phi1 / kappa
-    cover = (1.0 - phi2) + (1.0 - psi) / kappa
-    return PropositionBounds(
-        miss_bound=miss,
-        size_bound=size,
-        coverage_upper=cover,
-        kappa=kappa,
-        M=M,
-        delta=delta,
-    )
-
-
-def remark1_transfer(
-    phi: Callable[[float], float],
-    M: float,
-    p_level: float = 2.0 / 3.0,
-    varsigma: float = 0.5,
-    a: float = 0.5,
-) -> tuple[float, float]:
-    """Turn a contraction bound phi into (phi1, phi2) values at M.
-
-    phi1(M) <= (1/p) phi(a M / (2 + varsigma)) + phi((1 - a) M) and
-    phi2(M) <= (1/p) phi(M / (2 + varsigma)); with a Markov-type
-    phi(M) = C / M**2 and the defaults this gives 41.5 C / M**2 and
-    9.375 C / M**2.
-    """
-    if not 0.0 < p_level < 1.0:
-        raise ValueError(f"p_level must lie in (0,1), got {p_level}")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must lie in (0,1), got {a}")
-    if M <= 0:
-        raise ValueError("M must be positive")
-    stretch = 2.0 + varsigma
-    phi1 = phi(a * M / stretch) / p_level + phi((1.0 - a) * M)
-    phi2 = phi(M / stretch) / p_level
-    return phi1, phi2
-
-
-@dataclass(frozen=True)
 class OversmoothingResult:
     estimate: float
     std_error: float
@@ -398,25 +315,17 @@ def oversmoothing_probability(
 
 @dataclass(frozen=True)
 class BallVolume:
-    """Volume of the k-ball of radius r and its closed-form upper bound.
-
-    The linear-scale fields overflow/underflow for large k; log_bound and
-    log_exact are the authoritative values.
+    """Log-volume of the k-ball of radius r and of its closed-form upper
+    bound; kept in logs, since the volumes overflow or underflow for large k.
     """
 
-    bound: float
-    exact: float
     log_bound: float
     log_exact: float
 
-    @property
-    def log_slack(self) -> float:
-        return self.log_bound - self.log_exact
-
 
 def ball_volume_bound(k: int, r: float) -> BallVolume:
-    """Stirling-type upper bound e pi^{-1/2} r^k k^{-(k+1)/2} (2 pi e)^{k/2}
-    against the exact volume r^k pi^{k/2} / Gamma(1 + k/2)."""
+    """Logs of the Stirling-type upper bound e pi^{-1/2} r^k k^{-(k+1)/2}
+    (2 pi e)^{k/2} and of the exact volume r^k pi^{k/2} / Gamma(1 + k/2)."""
     k = _integer(k, "dimension k")
     if k < 1:
         raise ValueError(f"dimension k must be a positive integer, got {k}")
@@ -431,50 +340,4 @@ def ball_volume_bound(k: int, r: float) -> BallVolume:
         - 0.5 * (k + 1) * math.log(k)
         + 0.5 * k * math.log(2.0 * math.pi * math.e)
     )
-    def _exp(v: float) -> float:
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return math.inf
-    return BallVolume(
-        bound=_exp(log_bound),
-        exact=_exp(log_exact),
-        log_bound=log_bound,
-        log_exact=log_exact,
-    )
-
-
-def contraction_constant_reference(K: float = 2.0, alpha: float = 0.04, p: float = 0.0) -> dict:
-    """Explicit (enormous) constant from the oracle-contraction argument,
-    assembled from its pieces.  Report-only: nothing operational consumes
-    it, but seeing its size explains why the Monte-Carlo experiments test
-    rates and monotonicity rather than absolute constants.
-    """
-    if K <= 0 or alpha <= 0 or p < 0:
-        raise ValueError("need K > 0, alpha > 0, p >= 0")
-    b = 0.5 * math.log((K + 1.0) / 2.0)
-    k1 = 2.0 * p + 1.0
-    c2 = (
-        4.0
-        + 4.0 * (alpha + b) * k1 / 5.0
-        + math.exp(-(1.0 + alpha + b)) / (1.0 - math.exp(-(alpha + b)))
-    )
-    gamma = alpha / 20.0
-    tau = sigma_constants(p).tau
-    sc = sigma_constants(p, rho=tau, gamma=gamma, tau0=tau)
-    k3_half = sigma_constants(p, gamma=gamma / 2.0).k3
-    tau2 = 10.0 * tau / (9.0 * alpha * (tau - 2.0) * sc.k4 * sc.k5)
-    total = c2 + 1.0 + 2.0 * sc.k2 + 2.0 * (1.0 + tau2) + 1.0 + sc.k3 + math.sqrt(3.0) * k3_half
-    return {
-        "K": K,
-        "alpha": alpha,
-        "p": p,
-        "c2": c2,
-        "gamma": gamma,
-        "tau": tau,
-        "k2_tau": sc.k2,
-        "tau2": tau2,
-        "k3_gamma": sc.k3,
-        "k3_half_gamma": k3_half,
-        "c_oracle": total,
-    }
+    return BallVolume(log_bound=log_bound, log_exact=log_exact)

@@ -140,8 +140,12 @@ class ExperimentSpec:
         if not self.eps_grid:
             raise ValueError("eps_grid must be nonempty")
         check_estimator_args(self.center_rule, self.reps, self.inner_mc)
-        if self.pilot_reps < 1:
-            raise ValueError(f"pilot_reps must be positive, got {self.pilot_reps}")
+        # `> 0` is False for NaN; an unset (None) threshold is calibrated
+        for name in ("pilot_reps", "n_cover_samples", "tau_ebr", "coverage_inflation",
+                     "size_threshold", "m_grid", "size_c_grid"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.asarray(value, dtype=float) > 0):
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
         if self.workers < 0:

@@ -212,10 +212,6 @@ class SigmaConditionReport:
     violations: tuple = ()
     margins: Mapping[str, float] = field(default_factory=dict)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience only
-        status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"sigma-conditions up to n={self.n_max}: {status}"
-
 
 # relative slack for comparisons that are exact equalities in the direct
 # case (e.g. n*sigma_n^2 == Sigma(n) at p=0), where cumsum rounding can
@@ -468,6 +464,8 @@ def covers_check(
     applied.
     """
     n_samples = _integer(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     a = _padded_radii(cls, model)
     n = model.n_trunc

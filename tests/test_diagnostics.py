@@ -1,4 +1,4 @@
-"""Condition estimators, the bounds they feed, oversmoothing mass, volumes."""
+"""Condition estimators, oversmoothing mass, ball volumes."""
 
 import math
 
@@ -9,7 +9,6 @@ from seqcred import diagnostics
 from seqcred import (
     DdmParams,
     ball_volume_bound,
-    contraction_constant_reference,
     estimate_phi1,
     estimate_phi2,
     estimate_psi,
@@ -17,8 +16,6 @@ from seqcred import (
     make_model,
     mean_and_se,
     oversmoothing_probability,
-    proposition_bounds,
-    remark1_transfer,
 )
 
 SMALL = dict(reps=12, inner_mc=1000, seed=31)
@@ -135,40 +132,6 @@ class TestMeanAndSe:
         assert mean_and_se([2.0]) == (2.0, 0.0)
 
 
-class TestPropositionBounds:
-    def test_hand_arithmetic(self):
-        b = proposition_bounds(phi1=0.02, psi=0.01, phi2=0.05, M=2.0, delta=0.1, kappa=0.5)
-        assert b.miss_bound == pytest.approx(0.05 + 0.01 / 0.5)
-        assert b.size_bound == pytest.approx(0.04)
-        assert b.coverage_upper == pytest.approx(0.95 + 0.99 / 0.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            proposition_bounds(1.5, 0.0, 0.0, M=1.0, delta=0.1, kappa=0.5)
-        with pytest.raises(ValueError):
-            proposition_bounds(0.1, 0.0, 0.0, M=1.0, delta=0.1, kappa=1.0)
-        with pytest.raises(ValueError):
-            proposition_bounds(0.1, 0.0, 0.0, M=0.0, delta=0.1, kappa=0.5)
-
-    def test_remark_transfer_markov_constants(self):
-        """phi(M) = C/M^2 with the default split turns into 41.5 C/M^2 and
-        9.375 C/M^2; these are exact rational values."""
-        phi1, phi2 = remark1_transfer(lambda m: 1.0 / m**2, M=1.0)
-        assert phi1 == pytest.approx(41.5, rel=1e-14)
-        assert phi2 == pytest.approx(9.375, rel=1e-14)
-
-    def test_remark_transfer_scales_like_m_minus_two(self):
-        phi1_a, phi2_a = remark1_transfer(lambda m: 1.0 / m**2, M=2.0)
-        assert phi1_a == pytest.approx(41.5 / 4.0, rel=1e-14)
-        assert phi2_a == pytest.approx(9.375 / 4.0, rel=1e-14)
-
-    def test_remark_transfer_validation(self):
-        with pytest.raises(ValueError):
-            remark1_transfer(lambda m: 0.0, M=1.0, a=1.0)
-        with pytest.raises(ValueError):
-            remark1_transfer(lambda m: 0.0, M=0.0)
-
-
 class TestOversmoothing:
     def test_bound_formula_and_frozen_regime_boundary(self, tiny_model, tiny_signal, params):
         res = oversmoothing_probability(tiny_model, tiny_signal, params,
@@ -200,39 +163,37 @@ class TestOversmoothing:
 class TestBallVolume:
     def test_frozen_low_dimensions(self):
         b1 = ball_volume_bound(1, 1.0)
-        assert b1.exact == pytest.approx(2.0, rel=1e-12)
-        assert b1.bound == pytest.approx(6.3380654656113595, rel=1e-12)
+        assert b1.log_exact == pytest.approx(math.log(2.0), rel=1e-12)
+        assert b1.log_bound == pytest.approx(math.log(6.3380654656113595), rel=1e-12)
         b2 = ball_volume_bound(2, 1.0)
-        assert b2.exact == pytest.approx(math.pi, rel=1e-12)
-        assert b2.bound == pytest.approx(9.260808470207103, rel=1e-12)
+        assert b2.log_exact == pytest.approx(math.log(math.pi), rel=1e-12)
+        assert b2.log_bound == pytest.approx(math.log(9.260808470207103), rel=1e-12)
 
     def test_formula_recomputation(self):
-        """Both fields re-derived from scratch at a few (k, r) pairs."""
-        from math import gamma
-
+        """Both fields re-derived from scratch, in logs, at a few (k, r) pairs."""
         for k, r in [(1, 0.1), (3, 1.0), (7, 10.0), (12, 0.5)]:
             b = ball_volume_bound(k, r)
-            exact = r**k * math.pi ** (k / 2.0) / gamma(1.0 + k / 2.0)
-            bound = (
-                math.e / math.sqrt(math.pi) * r**k * k ** (-(k + 1) / 2.0)
-                * (2.0 * math.pi * math.e) ** (k / 2.0)
+            log_exact = k * math.log(r) + k / 2.0 * math.log(math.pi) - math.lgamma(1.0 + k / 2.0)
+            log_bound = (
+                1.0 - 0.5 * math.log(math.pi) + k * math.log(r) - (k + 1) / 2.0 * math.log(k)
+                + k / 2.0 * math.log(2.0 * math.pi * math.e)
             )
-            assert b.exact == pytest.approx(exact, rel=1e-12)
-            assert b.bound == pytest.approx(bound, rel=1e-12)
+            assert b.log_exact == pytest.approx(log_exact, rel=1e-12)
+            assert b.log_bound == pytest.approx(log_bound, rel=1e-12)
 
     def test_bound_dominates_exact_everywhere(self):
         for k in range(1, 201):
             for r in (0.1, 1.0, 10.0):
                 b = ball_volume_bound(k, r)
-                assert b.log_slack >= 0.0, (k, r)
+                assert b.log_bound >= b.log_exact, (k, r)
 
     def test_log_fields_survive_overflow(self):
         b = ball_volume_bound(200, 0.1)
         assert b.log_bound == pytest.approx(-708.7825722388769, rel=1e-12)
         assert b.log_exact == pytest.approx(-709.7834055694325, rel=1e-12)
         big = ball_volume_bound(400, 100.0)
-        assert math.isinf(big.bound)
         assert np.isfinite(big.log_bound)
+        assert np.isfinite(big.log_exact)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -245,23 +206,3 @@ class TestBallVolume:
 
     def test_integral_dimension_kept(self):
         assert ball_volume_bound(2.0, 1.0) == ball_volume_bound(np.int64(2), 1.0) == ball_volume_bound(2, 1.0)
-
-
-class TestContractionConstant:
-    def test_frozen_default_value(self):
-        ref = contraction_constant_reference()
-        assert ref["c_oracle"] == pytest.approx(5831845.619476801, rel=1e-12)
-        assert ref["c2"] == pytest.approx(5.5332555935845775, rel=1e-12)
-        assert ref["tau2"] == pytest.approx(1000.0 / 9.0, rel=1e-12)
-
-    def test_pieces_assemble(self):
-        ref = contraction_constant_reference(K=3.0, alpha=0.1, p=1.0)
-        total = (
-            ref["c2"] + 1.0 + 2.0 * ref["k2_tau"] + 2.0 * (1.0 + ref["tau2"]) + 1.0
-            + ref["k3_gamma"] + math.sqrt(3.0) * ref["k3_half_gamma"]
-        )
-        assert ref["c_oracle"] == pytest.approx(total, rel=1e-14)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            contraction_constant_reference(K=0.0)

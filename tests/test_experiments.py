@@ -120,6 +120,15 @@ class TestSpec:
         dict(kind="contraction", signals=({"kind": "zero"},), pilot_reps=0),
         dict(kind="contraction", signals=({"kind": "zero"},), scales=({"name": "bogus"},)),
         dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), signals=({"kind": "bogus"},)),
+        dict(kind="contraction", signals=({"kind": "zero"},), m_grid=(0.0, 2.0)),
+        dict(kind="contraction", signals=({"kind": "zero"},), m_grid=(2.0, -1.0)),
+        dict(kind="coverage-size", signals=({"kind": "zero"},), tau_ebr=0.0),
+        dict(kind="coverage-size", signals=({"kind": "zero"},), tau_ebr=math.nan),
+        dict(kind="coverage-size", signals=({"kind": "zero"},), coverage_inflation=0.0),
+        dict(kind="coverage-size", signals=({"kind": "zero"},), size_threshold=-1.0),
+        dict(kind="coverage-size", signals=({"kind": "zero"},), size_c_grid=(2.0, 0.0)),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), n_cover_samples=0),
+        dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), n_cover_samples=-3),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -254,6 +263,9 @@ class TestCoverageCells:
         for name in ("coverage_ok", "size_ok", "duality_ok", "acceptance_ok"):
             assert isinstance(s[name], bool)
         assert s["deceptive_separated"] is None  # no deceptive cell in this panel
+        kappa = coverage_report.spec.kappa
+        for cell in s["cells"]:
+            assert cell["miss_bound"] == pytest.approx(cell["phi2_hat"] + cell["psi_hat"] / (1.0 - kappa))
 
     def test_center_rule_reaches_coverage_rows(self, coverage_report):
         spec = dataclasses.replace(coverage_report.spec, center_rule="posterior-mean")

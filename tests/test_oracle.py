@@ -398,6 +398,9 @@ class TestCoversCheck:
         for bad in (2.5, True, "3"):
             with pytest.raises(ValueError, match="n_samples must be an integer"):
                 covers_check(cls, m, n_samples=bad, seed=3, lambda_trials=50)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                covers_check(cls, m, n_samples=bad, seed=3, lambda_trials=50)
 
 
 @settings(max_examples=30, deadline=None)
