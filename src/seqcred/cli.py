@@ -73,10 +73,6 @@ def _observed_from_file(path: str) -> ObservedData:
     missing = [key for key in ("x", "epsilon", "p", "n_trunc") if key not in d]
     if missing:
         raise ValueError(f"{path} lacks field(s) {missing}")
-    for key, kinds, what in (("epsilon", (int, float), "a number"), ("p", (int, float), "a number"),
-                             ("n_trunc", int, "an integer")):
-        if isinstance(d[key], bool) or not isinstance(d[key], kinds):
-            raise ValueError(f"{key} must be {what}, got {d[key]!r}")
     model = make_model(d["epsilon"], d["p"], d["n_trunc"])
     return ObservedData(x=d["x"], model=model, seed=d.get("seed"))
 

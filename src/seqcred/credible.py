@@ -11,7 +11,6 @@ slack is re-verified on fresh draws every time.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,9 +108,11 @@ class DefaultCenterResult:
     """Winning candidate center with its minimal level-p radius.
 
     ``verified`` records whether a fresh batch of draws put at least p_level
-    posterior mass in the ball of radius (1+varsigma)*radius around the
-    center; a False here signals too small an MC budget or genuinely
-    pathological data, and is also raised as a warning.
+    posterior mass (``mass_at_inflated``) in the ball of radius
+    (1+varsigma)*radius around the center; a False here signals too small
+    an MC budget or genuinely pathological data.  No warning is raised: the
+    experiments count it as center_flags and ``seqcred ball`` prints it as
+    center_verified.
     """
 
     center: np.ndarray
@@ -184,26 +185,18 @@ def default_center(
 
     assert best is not None
     r_star, win, center = best
-    tag = tags[win]
 
     # fresh draws for the honesty check of the inflated ball
     fresh_d = np.sqrt(sample_posterior(posterior, mc_samples, rng).sq_dists(center))
     mass = float(np.mean(fresh_d <= (1.0 + varsigma) * r_star.value))
-    verified = mass >= p_level
-    if not verified:
-        warnings.warn(
-            f"default-center verification failed: mass {mass:.3f} < {p_level:.3f} "
-            f"at radius {(1 + varsigma) * r_star.value:.4g} (candidate {tag})",
-            stacklevel=2,
-        )
 
     return DefaultCenterResult(
         center=pad(center, n),
         radius=r_star,
-        candidate=tag,
+        candidate=tags[win],
         p_level=p_level,
         varsigma=varsigma,
-        verified=verified,
+        verified=mass >= p_level,
         mass_at_inflated=mass,
         candidates_evaluated=len(tags),
         radius_at_mean=at_mean.value,

@@ -2,18 +2,18 @@
 oversmoothing mass, and the Euclidean ball-volume bound used in the
 lower-bound arguments.
 
-All estimators are nested Monte Carlo: an outer loop over simulated data
-sets and (where needed) an inner loop over posterior draws.  Grids of
-arguments share the same draws per replication, so estimates along a grid
-are exactly monotone where the underlying events are nested.
+All estimators are nested Monte Carlo: ``replicate`` runs the outer loop
+over data sets and the inner batch of posterior draws, and ``CONDITIONS``
+reads each condition from its arrays.  Grids of arguments share the same
+draws per replication, so estimates along a grid are exactly monotone where
+the underlying events are nested.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,8 @@ __all__ = [
     "ConditionEstimate",
     "OversmoothingResult",
     "BallVolume",
-    "Replication",
+    "Replications",
+    "CONDITIONS",
     "mean_and_se",
     "check_estimator_args",
     "replicate",
@@ -95,16 +96,18 @@ def _as_grid(values) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-class Replication(NamedTuple):
-    """One replication of the credible-ball pipeline.
+class Replications(NamedTuple):
+    """The replications of one estimator seed.
 
-    dists holds the distances of a fresh batch of posterior draws to the
-    center, or None when the caller asked for the center only.
+    gaps[rep] is the distance from the truth to the center of replication
+    rep; dists[rep] holds the distances of its fresh batch of posterior
+    draws to that center, or dists is None when the caller asked for the
+    centers only; flags counts the failed default-center verifications.
     """
 
-    center: np.ndarray
-    flagged: bool  # the default-center verification failed
+    gaps: np.ndarray
     dists: np.ndarray | None
+    flags: int
 
 
 def replicate(
@@ -114,28 +117,44 @@ def replicate(
     center_rule: str,
     mc: int,
     seed_seq: np.random.SeedSequence,
-    rep: int,
+    reps: int,
     distances: bool = True,
-) -> Replication:
-    """Simulate data set ``rep``, form its mixture posterior, resolve the
-    center by the rule (flagged when a default center fails verification)
-    and measure mc fresh posterior draws against it.
+) -> Replications:
+    """For rep = 0..reps-1: simulate data set rep, form its mixture
+    posterior, resolve the center by the rule and measure mc fresh
+    posterior draws against it.
 
     Its streams under seed_seq are the two estimator-seed rows of the
     table in :mod:`seqcred.streams`.
     """
-    posterior = make_posterior(data_set(model, signal, seed_seq, rep, 0), params)
-    rng = np.random.default_rng(stream(seed_seq, rep, 1))
-    if center_rule == "posterior-mean":
-        center, flagged = posterior.mean(), False
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    theta0 = signal.padded(model.n_trunc)
+    gaps = np.empty(reps)
+    dists = np.empty((reps, mc)) if distances else None
+    flags = 0
+    for rep in range(reps):
+        posterior = make_posterior(data_set(model, signal, seed_seq, rep, 0), params)
+        rng = np.random.default_rng(stream(seed_seq, rep, 1))
+        if center_rule == "posterior-mean":
+            center = posterior.mean()
+        else:
             result = default_center(posterior, mc_samples=mc, seed=rng)
-        center, flagged = result.center, not result.verified
-    if not distances:
-        return Replication(center, flagged, None)
-    return Replication(center, flagged, np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center)))
+            center = result.center
+            flags += not result.verified
+        gaps[rep] = np.linalg.norm(theta0 - center)
+        if distances:
+            dists[rep] = np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center))
+    return Replications(gaps, dists, flags)
+
+
+#: each condition's per-replication statistic at radius r, or at each of an
+#: array of radii (one more trailing axis): phi1 the posterior mass outside
+#: the ball B(center, r), psi the mass inside it, phi2 whether the center
+#: misses the truth by r
+CONDITIONS = {
+    "phi1": lambda runs, r: np.greater_equal.outer(runs.dists, r).mean(axis=1),
+    "psi": lambda runs, r: np.less_equal.outer(runs.dists, r).mean(axis=1),
+    "phi2": lambda runs, r: np.greater_equal.outer(runs.gaps, r),
+}
 
 
 def estimate_phi1(
@@ -151,10 +170,7 @@ def estimate_phi1(
     """Expected posterior mass outside the ball of radius M * oracle-rate
     around the data-driven center, averaged over simulated data sets."""
     rate = oracle(signal, model).rate
-    return _estimate(
-        "phi1", M, rate, lambda r, grid: np.mean(r.dists[:, None] >= grid[None, :] * rate, axis=0),
-        model, signal, params, center_rule, reps, inner_mc, seed,
-    )
+    return _estimate("phi1", M, rate, model, signal, params, center_rule, reps, inner_mc, seed)
 
 
 def estimate_psi(
@@ -183,10 +199,7 @@ def estimate_psi(
         scale = oracle(signal, model).rate
     else:
         scale = math.sqrt(surrogate_oracle(signal, model).sigma_sum)
-    return _estimate(
-        "psi", delta, scale, lambda r, grid: np.mean(r.dists[:, None] <= grid[None, :] * scale, axis=0),
-        model, signal, params, center_rule, reps, inner_mc, seed,
-    )
+    return _estimate("psi", delta, scale, model, signal, params, center_rule, reps, inner_mc, seed)
 
 
 def estimate_phi2(
@@ -203,18 +216,13 @@ def estimate_phi2(
     M * oracle-rate.  Purely an outer Monte Carlo; inner draws are spent
     only on resolving the default center."""
     rate = oracle(signal, model).rate
-    theta0 = signal.padded(model.n_trunc)
-    return _estimate(
-        "phi2", M, rate, lambda r, grid: float(np.linalg.norm(theta0 - r.center)) >= grid * rate,
-        model, signal, params, center_rule, reps, inner_mc, seed,
-    )
+    return _estimate("phi2", M, rate, model, signal, params, center_rule, reps, inner_mc, seed)
 
 
 def _estimate(
     kind: str,
     values: float | Sequence[float],
     scale: float,
-    statistic: Callable[[Replication, np.ndarray], np.ndarray],
     model: ModelConfig,
     signal: Signal,
     params: DdmParams,
@@ -223,20 +231,14 @@ def _estimate(
     inner_mc: int,
     seed: int | np.random.SeedSequence | None,
 ) -> ConditionEstimate | list[ConditionEstimate]:
-    """Average a per-replication statistic over the grid of values; phi2
-    reads only the center, so it draws no distance batch and reports
-    inner_mc 0.  Every argument is checked before the first replication."""
+    """Average the condition's per-replication statistic at the radii
+    values * scale; phi2 reads only the centers, so it draws no distance
+    batch and reports inner_mc 0.  Every argument is checked before the
+    first replication."""
     reps, inner_mc = check_estimator_args(center_rule, reps, inner_mc)
     grid, scalar = _as_grid(values)
-    ss = stream(seed)
-    distances = kind != "phi2"
-    freqs = np.empty((reps, len(grid)))
-    flags = 0
-    for rep in range(reps):
-        run = replicate(model, signal, params, center_rule, inner_mc, ss, rep, distances=distances)
-        flags += run.flagged
-        freqs[rep] = statistic(run, grid)
-    means, ses = mean_and_se(freqs)
+    runs = replicate(model, signal, params, center_rule, inner_mc, stream(seed), reps, distances=kind != "phi2")
+    means, ses = mean_and_se(CONDITIONS[kind](runs, grid * scale))
     out = [
         ConditionEstimate(
             kind=kind,
@@ -244,9 +246,9 @@ def _estimate(
             value=float(v),
             std_error=float(s),
             reps=reps,
-            inner_mc=inner_mc if distances else 0,
+            inner_mc=0 if runs.dists is None else inner_mc,
             scale=float(scale),
-            center_flags=flags,
+            center_flags=runs.flags,
         )
         for g, v, s in zip(grid, means, ses)
     ]

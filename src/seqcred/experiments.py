@@ -26,7 +26,7 @@ import time
 import traceback
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .credible import radius_from_distances
-from .diagnostics import check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
+from .diagnostics import CONDITIONS, check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
 from .model import Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
@@ -290,7 +290,7 @@ def _row(*values) -> dict:
 
 # ---------------------------------------------------------------------------
 # per-kind cell bodies, called as body(spec, cell_idx, entry_idx, entry,
-# model, params, *extra) with the entry (a Signal or a scale class), the
+# model, params) with the entry (a Signal or a scale class), the
 # ModelConfig and the DdmParams that _cell_worker builds.  Each returns
 # (stats, summary): stats holds (row kind suffix, grid value, statistic,
 # std error) tuples, which _cell_worker writes as CSV rows "<kind>:<suffix>"
@@ -405,50 +405,44 @@ def _cell_small_ball(spec, cell_idx, sig_idx, signal, model, params):
 
 def _coverage_reps(spec, cell_idx, signal, model, params, pilot: bool):
     """Replications of one coverage cell; the pilot pass has its own seed
-    namespace.  Returns (EBR check, oracle rate, center gaps, radius-hats,
-    inner small-ball masses at _DUALITY_DELTA times the rate, count of
-    failed default-center verifications)."""
-    theta0 = signal.padded(spec.n_trunc)
+    namespace.  Returns (EBR check, oracle rate, the Replications, their
+    radius-hats)."""
     rate = oracle(signal, model).rate
     if pilot:
         ss, reps = stream(spec.master_seed, PILOT_KEY, cell_idx), spec.pilot_reps
     else:
         ss, reps = stream(spec.master_seed, cell_idx), spec.reps
-    gaps, radii, smalls = np.empty(reps), np.empty(reps), np.empty(reps)
-    flags = 0
-    for rep in range(reps):
-        center, flagged, dists = replicate(model, signal, params, spec.center_rule, spec.inner_mc, ss, rep)
-        flags += flagged
-        gaps[rep] = np.linalg.norm(theta0 - center)
-        radii[rep] = radius_from_distances(dists, spec.kappa).value
-        smalls[rep] = np.mean(dists <= _DUALITY_DELTA * rate)
-    return ebr_check(signal, model, spec.tau_ebr), rate, gaps, radii, smalls, flags
+    runs = replicate(model, signal, params, spec.center_rule, spec.inner_mc, ss, reps)
+    radii = np.array([radius_from_distances(d, spec.kappa).value for d in runs.dists])
+    return ebr_check(signal, model, spec.tau_ebr), rate, runs, radii
 
 
 def _cell_coverage_pilot(spec, cell_idx, sig_idx, signal, model, params):
     """Pilot quantiles used to calibrate the inflation C and size threshold c."""
-    ebr, rate, gaps, radii, _, flags = _coverage_reps(spec, cell_idx, signal, model, params, pilot=True)
-    miss_ratios = np.divide(gaps, radii, out=np.full(len(gaps), math.inf), where=radii > 0)
+    ebr, rate, runs, radii = _coverage_reps(spec, cell_idx, signal, model, params, pilot=True)
+    miss_ratios = np.divide(runs.gaps, radii, out=np.full(len(radii), math.inf), where=radii > 0)
     summary = {
         "ebr_member": ebr.member,
         "ebr_ratio": ebr.ratio,
         "q98_miss_ratio": float(np.quantile(miss_ratios, 0.98)),
         "q99_size_ratio": float(np.quantile(radii / rate, 0.99)),
-        "center_flags": flags,
+        "center_flags": runs.flags,
     }
     return [], summary
 
 
-def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params, inflation, c_list):
-    ebr, rate, gaps, radii, smalls, flags = _coverage_reps(spec, cell_idx, signal, model, params, pilot=False)
+def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params):
+    """The main pass, on a spec whose inflation and size threshold are set."""
+    inflation = spec.coverage_inflation
+    ebr, rate, runs, radii = _coverage_reps(spec, cell_idx, signal, model, params, pilot=False)
 
     def _freq_se(hits: np.ndarray) -> tuple[float, float]:
         f = float(hits.mean())
         return f, math.sqrt(f * (1.0 - f) / len(hits))
 
-    coverage, cov_se = _freq_se(gaps <= inflation * radii)
-    phi2_hat, phi2_se = _freq_se(gaps >= inflation * _DUALITY_DELTA * rate)
-    psi_hat, psi_se = map(float, mean_and_se(smalls))
+    coverage, cov_se = _freq_se(runs.gaps <= inflation * radii)
+    phi2_hat, phi2_se = _freq_se(CONDITIONS["phi2"](runs, inflation * _DUALITY_DELTA * rate))
+    psi_hat, psi_se = map(float, mean_and_se(CONDITIONS["psi"](runs, _DUALITY_DELTA * rate)))
     radius_mean, radius_se = map(float, mean_and_se(radii))
     miss_bound = phi2_hat + psi_hat / (1.0 - spec.kappa)
     bound_se = phi2_se + psi_se / (1.0 - spec.kappa)
@@ -461,7 +455,7 @@ def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params, inflatio
         ("radius-mean", "mean", radius_mean, radius_se),
     ]
     size_freqs = {}
-    for c in c_list:
+    for c in sorted(set(map(float, spec.size_c_grid)) | {spec.size_threshold}):
         f, se = _freq_se(radii >= c * rate)
         size_freqs[repr(float(c))] = [f, se]
         stats.append(("size", repr(float(c)), f, se))
@@ -478,7 +472,7 @@ def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params, inflatio
         "duality_ok": duality_ok,
         "oracle_rate": rate,
         "radius_mean": radius_mean,
-        "center_flags": flags,
+        "center_flags": runs.flags,
     }
     return stats, summary
 
@@ -498,7 +492,7 @@ def _cell_overshrinkage(spec, cell_idx, sig_idx, signal, model, params):
 
     rel = np.empty((spec.reps, 4))  # mix-vs-truth, shr-vs-L*truth, mix-vs-L*truth, shr-vs-truth
     for rep in range(spec.reps):
-        data = data_set(model, signal, spec.master_seed, cell_idx, rep, 0)
+        data = data_set(model, signal, stream(spec.master_seed, cell_idx), rep, 0)
         mix = posterior_mean(data, mixture_weights(data, params))[head][live]
         shr = shrunk_full_bayes(data, params).mean()[head][live]
         rel[rep, 0] = np.max(np.abs(mix - t_head) / np.abs(t_head))
@@ -671,12 +665,12 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 def _cell_worker(job):
     """Run one cell body, pilot or main, and write its statistics as CSV rows
     under the cell seed; a failing cell returns its traceback instead."""
-    spec, cell_idx, (i, j), body, extra = job
+    spec, cell_idx, (i, j), body = job
     eps = spec.eps_grid[j]
     try:
         entry, name, params = _build_entry(spec, _KINDS[spec.kind].entries, i, eps)
         model = make_model(eps, spec.p, spec.n_trunc)
-        stats, summary = body(spec, cell_idx, i, entry, model, DdmParams(K=spec.K, alpha=spec.alpha), *extra)
+        stats, summary = body(spec, cell_idx, i, entry, model, DdmParams(K=spec.K, alpha=spec.alpha))
         seed = seed_int(stream(spec.master_seed, cell_idx))
         rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
                 for suffix, grid, stat, se in stats]
@@ -706,16 +700,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     report = ExperimentReport(spec=spec)
     failed: list = []
 
-    extra = ()
+    cell_spec = spec
     if spec.kind == "coverage-size":
-        inflation, c_star, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed)
-        extra = (inflation, tuple(sorted(set(map(float, spec.size_c_grid)) | {c_star})))
-        report.summary["inflation_C"] = inflation
-        report.summary["size_c"] = c_star
-        report.summary["pilot_cells"] = pilot_cells
-        report.summary["pilot_reps"] = spec.pilot_reps
+        cell_spec, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed)
+        report.summary.update(inflation_C=cell_spec.coverage_inflation, size_c=cell_spec.size_threshold,
+                              pilot_cells=pilot_cells, pilot_reps=spec.pilot_reps)
 
-    jobs = [(spec, idx, coord, _KINDS[spec.kind].cell, extra) for idx, coord in enumerate(coords)]
+    jobs = [(cell_spec, idx, coord, _KINDS[spec.kind].cell) for idx, coord in enumerate(coords)]
     outcomes = _map_cells(jobs, n_workers)
 
     cell_summaries: list = []
@@ -755,12 +746,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _calibrate_coverage(spec, coords, n_workers, failed):
-    """Pilot pass: data-driven inflation and size threshold, unless pinned."""
+    """Pilot pass: the spec with its inflation and size threshold set from
+    the pilot cells where the spec leaves them unset, and those cells."""
     need_c = spec.coverage_inflation is None
     need_s = spec.size_threshold is None
     pilot_cells: list = []
     if need_c or need_s:
-        jobs = [(spec, idx, coord, _cell_coverage_pilot, ()) for idx, coord in enumerate(coords)]
+        jobs = [(spec, idx, coord, _cell_coverage_pilot) for idx, coord in enumerate(coords)]
         for cell_idx, payload, err in _map_cells(jobs, n_workers):
             if err is not None:
                 failed.append({"cell": cell_idx, "phase": "pilot", "error": err})
@@ -779,7 +771,7 @@ def _calibrate_coverage(spec, coords, n_workers, failed):
         if not pilot_cells:
             raise ValueError("size calibration needs at least one successful pilot cell")
         c_star = 1.25 * max(c["q99_size_ratio"] for c in pilot_cells)
-    return float(inflation), float(c_star), pilot_cells
+    return replace(spec, coverage_inflation=float(inflation), size_threshold=float(c_star)), pilot_cells
 
 
 # ---------------------------------------------------------------------------

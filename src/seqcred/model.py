@@ -268,9 +268,9 @@ def generate_signal(
     * ``sobolev-random`` (beta, Q): theta_i drawn uniformly in [-a_i, a_i]
       with the sobolev a_i (seeded).
     * ``deceptive`` (epsilon > 0, p >= 0): zero base plus a single spike of
-      squared mass m = 10 * eps^2 * j^{2p} at j = ceil(2 / eps^{2/(2p+1)}).
-      The constructor verifies that the result fails the excess-bias check
-      at tau = 1 and raises otherwise.
+      squared mass m = 10 * eps^2 * j^{2p} at the first j >= ceil(2 /
+      eps^{2/(2p+1)}) whose spike fails the excess-bias check at tau = 1,
+      searched up to n_trunc; the constructor raises if there is none.
     * ``custom`` (coeffs): coefficients passed through verbatim.
     """
     params = {} if params is None else params
@@ -292,28 +292,31 @@ def generate_signal(
         p = _param(params, "p", 0.0)
         _require(eps > 0, f"epsilon must be positive, got {eps}")
         _require(p >= 0, f"p must be nonnegative, got {p}")
-        j = math.ceil(2.0 / eps ** (2.0 / (2.0 * p + 1.0)))
-        if j > n_trunc:
+        j0 = math.ceil(2.0 / eps ** (2.0 / (2.0 * p + 1.0)))
+        if j0 > n_trunc:
             raise ValueError(
-                f"deceptive spike index {j} exceeds the truncation level {n_trunc}; "
+                f"deceptive spike index {j0} exceeds the truncation level {n_trunc}; "
                 f"use a larger n_trunc or a larger epsilon"
             )
-        mass = 10.0 * eps**2 * float(j) ** (2.0 * p)
-        coeffs = np.zeros(n_trunc)
-        coeffs[j - 1] = math.sqrt(mass)
-        sig = Signal(coeffs, kind, {"epsilon": eps, "p": p, "spike_index": j, "spike_mass": mass})
         # the whole point of this signal is to sit outside the excess-bias
-        # class; refuse to hand out one that does not.  Import the submodule
-        # explicitly: the package namespace rebinds the name "oracle" to a
-        # function of the same name.
+        # class: the spike moves out from j0 until it fails the check.
+        # Import the submodule explicitly: the package namespace rebinds the
+        # name "oracle" to a function of the same name.
         from .oracle import ebr_check
 
-        check = ebr_check(sig, make_model(eps, p, n_trunc), tau=1.0)
-        if check.member:
-            raise ValueError(
-                f"deceptive construction failed: excess-bias ratio {check.ratio:.4g} <= 1"
-            )
-        return sig
+        model = make_model(eps, p, n_trunc)
+        for j in range(j0, n_trunc + 1):
+            mass = 10.0 * eps**2 * float(j) ** (2.0 * p)
+            coeffs = np.zeros(n_trunc)
+            coeffs[j - 1] = math.sqrt(mass)
+            sig = Signal(coeffs, kind, {"epsilon": eps, "p": p, "spike_index": j, "spike_mass": mass})
+            check = ebr_check(sig, model, tau=1.0)
+            if not check.member:
+                return sig
+        raise ValueError(
+            f"deceptive construction failed: excess-bias ratio {check.ratio:.4g} <= 1 "
+            f"at every spike index from {j0} to {n_trunc}"
+        )
 
     if kind == "custom":
         _require("coeffs" in params, "custom signals need a 'coeffs' parameter")

@@ -483,9 +483,9 @@ def covers_check(
             samples.append(("box-interior", (u * a) ** 2))
     else:
         # axis spikes are the extreme points of the ellipsoid for the
-        # projection risk; take a log-spaced sweep of them
+        # projection risk; take a log-spaced sweep of at most n_samples
         if len(pos):
-            js = np.unique(np.geomspace(1, len(pos), num=min(40, len(pos))).astype(int)) - 1
+            js = np.unique(np.geomspace(1, len(pos), num=min(40, len(pos), n_samples)).astype(int)) - 1
             for j in pos[js]:
                 th2 = np.zeros(n)
                 th2[j] = a[j] ** 2

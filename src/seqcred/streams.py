@@ -8,19 +8,19 @@ of its stream (``seed_int``); every other consumer hands its stream to
 
   root             spawn key                          consumer
   ---------------  ---------------------------------  ----------------------------------
-  estimator seed   (rep, 0)                           replicate and
-                                                      oversmoothing_probability: data
-                                                      set rep
+  estimator seed   (rep, 0)                           replicate,
+                                                      oversmoothing_probability and
+                                                      overshrinkage: data set rep
   estimator seed   (rep, 1)                           replicate: center search, its
                                                       verification, then the distance
                                                       batch, in that order
   signal_seed      (sig,)                             generate_signal, same at every eps
-  master_seed      (cell,)                            CSV seed column; contraction and
-                                                      coverage-size estimator seed
+  master_seed      (cell,)                            CSV seed column; contraction,
+                                                      coverage-size and overshrinkage
+                                                      estimator seed
   master_seed      (cell, k)                          small-ball estimator seed, k = 0
                                                       oracle rate, k = 1 sigma-sum
   master_seed      (PILOT_KEY, cell)                  coverage-size pilot estimator seed
-  master_seed      (cell, rep, 0)                     overshrinkage data set rep
   master_seed      (cell, 0)                          scale-adaptation covers_check
   master_seed      (SIGNAL_KEY, sig, rep)             oracle-inequality data set rep
   master_seed      (PILOT_KEY, SIGNAL_KEY, sig, rep)  oracle-inequality pilot data set
@@ -28,10 +28,11 @@ of its stream (``seed_int``); every other consumer hands its stream to
   ball --seed      (1,)                               ``seqcred ball`` radius draws
 
 An estimator seed that is itself a stream has its key extended, so inside an
-experiment contraction data set rep comes from (cell, rep, 0).  The
-oracle-inequality keys hold no cell index and no trailing 0: every eps
-column of a signal sees the same noise, so ratios of pivotal quantities
-cancel along the eps grid instead of adding Monte-Carlo noise to the slope.
+experiment the contraction, coverage-size and overshrinkage data set rep
+comes from (cell, rep, 0).  The oracle-inequality keys hold no cell index
+and no trailing 0: every eps column of a signal sees the same noise, so
+ratios of pivotal quantities cancel along the eps grid instead of adding
+Monte-Carlo noise to the slope.
 Functions that take a plain ``seed`` (``simulate``, ``default_center``,
 ``radius_at_level``, ``sample_posterior``, ``covers_check``) pass it to
 ``numpy.random.default_rng`` and spawn nothing.

@@ -446,8 +446,12 @@ _SIM = ["simulate", "--eps", "0.1", "--seed", "1", "--kind", "sobolev-boundary",
      "eps_grid must be a list"),
     (["experiment", "--config", "F"], "[1, 2]", "a spec must be a JSON object"),
     (["posterior", "--data", "F"], json.dumps({**_DATA, "x": [0.1, math.nan, 0.3]}), "data must be finite"),
+    (["posterior", "--data", "F"], json.dumps({**_DATA, "epsilon": "0.1"}), "epsilon must be a number, got '0.1'"),
+    (["posterior", "--data", "F"], json.dumps({**_DATA, "n_trunc": True}), "n_trunc must be an integer, got True"),
+    (["ball", "--data", "F", "--seed", "1"], json.dumps({**_DATA, "p": None}), "p must be a number, got None"),
 ], ids=["null-param", "list-params", "posterior-array", "ball-array", "classify-array",
-        "posterior-no-n_trunc", "classify-no-coeffs", "scalar-eps_grid", "array-config", "nan-data"])
+        "posterior-no-n_trunc", "classify-no-coeffs", "scalar-eps_grid", "array-config", "nan-data",
+        "string-epsilon", "bool-n_trunc", "null-p"])
 def test_malformed_input_is_one_stderr_line(tmp_path, capsys, argv, content, message):
     """Malformed input is a usage error that names the bad field, not a traceback."""
     path = tmp_path / "input.json"

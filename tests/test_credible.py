@@ -121,18 +121,21 @@ class TestDefaultCenter:
         assert a.radius == b.radius
         assert a.candidate == b.candidate
 
-    def test_warns_when_mass_check_fails(self, params):
+    def test_flags_when_mass_check_fails(self, params):
         """With no inflation slack the fresh-batch mass check sits right at
-        the quantile and a small budget can land below it."""
+        the quantile and a small budget can land below it; the result says
+        so in its fields, and no warning is raised."""
         data = simulate(
             make_model(0.1, 0.0, 128),
             generate_signal("sobolev-boundary", {"beta": 1.0, "Q": 1.0}, n_trunc=128),
             seed=3,
         )
         post = make_posterior(data, params)
-        with pytest.warns(UserWarning, match="verification failed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = default_center(post, varsigma=0.0, mc_samples=1000, seed=0)
         assert not res.verified
+        assert res.mass_at_inflated < res.p_level
 
     def test_mode_candidate_labeled(self, params):
         x = np.zeros(32)
@@ -184,9 +187,7 @@ def brute_force_default_center(post, mc_samples, seed, p_level=2.0 / 3.0, varsig
 def assert_matches_brute_force(post, seed, p_level=2.0 / 3.0):
     """Same tag and center, and bit-equal radius, standard error, inflated
     mass and radius at the mean, as the brute-force reference."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = default_center(post, p_level=p_level, mc_samples=1000, seed=seed)
+    res = default_center(post, p_level=p_level, mc_samples=1000, seed=seed)
     tag, center, (value, std_error), mass, at_mean, n_cands = brute_force_default_center(post, 1000, seed, p_level)
     assert (res.candidate, res.radius.value, res.radius.std_error) == (tag, value, std_error)
     assert (res.mass_at_inflated, res.radius_at_mean, res.candidates_evaluated) == (mass, at_mean, n_cands)

@@ -16,6 +16,8 @@ from seqcred import (
     make_model,
     mean_and_se,
     oversmoothing_probability,
+    replicate,
+    stream,
 )
 
 SMALL = dict(reps=12, inner_mc=1000, seed=31)
@@ -115,6 +117,25 @@ class TestConditionEstimators:
         with pytest.raises(AssertionError, match="before the arguments"):
             estimator(1.0, tiny_model, tiny_signal, params, center_rule="posterior-mean",
                       reps=2, inner_mc=500, seed=0)
+
+
+class TestReplicate:
+    @pytest.mark.parametrize("center_rule", ["default-center", "posterior-mean"])
+    def test_rows_do_not_depend_on_reps(self, tiny_model, tiny_signal, params, center_rule):
+        """Replication rep reads only its own streams, so a longer run
+        extends a shorter one bit for bit."""
+        args = (tiny_model, tiny_signal, params, center_rule, 1000, stream(31))
+        three, two = replicate(*args, reps=3), replicate(*args, reps=2)
+        assert three.dists.shape == (3, 1000)
+        np.testing.assert_array_equal(three.gaps[:2], two.gaps)
+        np.testing.assert_array_equal(three.dists[:2], two.dists)
+
+    def test_centers_only(self, tiny_model, tiny_signal, params):
+        args = (tiny_model, tiny_signal, params, "default-center", 1000, stream(31))
+        full, centers = replicate(*args, reps=2), replicate(*args, reps=2, distances=False)
+        assert centers.dists is None
+        np.testing.assert_array_equal(centers.gaps, full.gaps)
+        assert centers.flags == full.flags
 
 
 class TestMeanAndSe:

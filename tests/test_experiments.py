@@ -163,6 +163,11 @@ class TestSpec:
         b = _build_signal(spec, 0, 0.1)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
+    def test_coverage_size_builds_at_p_one(self):
+        spec = default_spec("coverage-size", p=1)
+        sig = _build_signal(spec, 6, 0.1)  # the deceptive panel entry
+        assert (spec.p, sig.params["spike_index"]) == (1, 11)
+
     def test_deceptive_signal_inherits_model_epsilon(self):
         spec = default_spec("coverage-size", n_trunc=1024)
         sig = _build_signal(spec, 6, 0.1)  # the deceptive panel entry
@@ -251,6 +256,12 @@ class TestCoverageCells:
         member_qs = [c["q98_miss_ratio"] for c in s["pilot_cells"] if c["ebr_member"]]
         assert s["inflation_C"] == pytest.approx(1.1 * max(member_qs))
 
+    def test_report_keeps_the_callers_spec(self, coverage_report):
+        """The main pass runs on the calibrated spec; the report holds the
+        spec as passed, whose unset fields say a pilot pass ran."""
+        spec = coverage_report.spec
+        assert spec.coverage_inflation is None and spec.size_threshold is None
+
     def test_size_grid_includes_calibrated_value(self, coverage_report):
         s = coverage_report.summary
         cell = s["cells"][0]
@@ -282,7 +293,12 @@ class TestCoverageCells:
         from seqcred import experiments
 
         real = experiments.replicate
-        monkeypatch.setattr(experiments, "replicate", lambda *a, **k: real(*a, **k)._replace(flagged=True))
+
+        def all_flagged(*args, **kwargs):
+            runs = real(*args, **kwargs)
+            return runs._replace(flags=len(runs.gaps))
+
+        monkeypatch.setattr(experiments, "replicate", all_flagged)
         flagged = run_experiment(coverage_report.spec)
         spec = coverage_report.spec
         assert [c["center_flags"] for c in coverage_report.summary["cells"]] == [0, 0]

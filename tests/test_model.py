@@ -13,6 +13,7 @@ from seqcred import (
     ModelConfig,
     ObservedData,
     Signal,
+    ebr_check,
     family_radii,
     generate_signal,
     make_model,
@@ -121,10 +122,21 @@ class TestSignalFamilies:
         assert list(nz) == [199]
         assert s.coeffs[199] == pytest.approx(math.sqrt(0.1), rel=1e-15)
         assert s.params["spike_index"] == 200
+        # at p = 1 and p = 2 the formula's index (10 and 6) passes the
+        # excess-bias check, so the spike moves out to the first failing index
+        for p, j in ((1.0, 11), (2.0, 12)):
+            s = generate_signal("deceptive", {"epsilon": 0.1, "p": p}, n_trunc=1024)
+            assert list(np.nonzero(s.coeffs)[0]) == [j - 1]
+            assert s.params["spike_index"] == j
+            assert s.params["spike_mass"] == 10.0 * 0.1**2 * float(j) ** (2.0 * p)
+            assert not ebr_check(s, make_model(0.1, p, 1024), tau=1.0).member
 
     def test_deceptive_needs_room_for_spike(self):
         with pytest.raises(ValueError, match="truncation"):
             generate_signal("deceptive", {"epsilon": 0.1, "p": 0.0}, n_trunc=100)
+        # at p = 1 the formula's index 10 passes the check and no later one fits
+        with pytest.raises(ValueError, match="construction failed"):
+            generate_signal("deceptive", {"epsilon": 0.1, "p": 1.0}, n_trunc=10)
 
     def test_custom_passthrough(self):
         s = generate_signal("custom", {"coeffs": [1.0, -2.0, 3.0]}, n_trunc=5)

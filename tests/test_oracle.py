@@ -402,6 +402,14 @@ class TestCoversCheck:
             with pytest.raises(ValueError, match="n_samples must be >= 1"):
                 covers_check(cls, m, n_samples=bad, seed=3, lambda_trials=50)
 
+    def test_sample_count_is_the_request(self):
+        """The axis sweep of an ellipsoid takes at most n_samples spikes, so a
+        request below the spike count is not raised to it."""
+        m = make_model(0.1, 0.0, 1024)
+        cls = scale_class("sobolev-ellipsoid", {"beta": 1.0, "Q": 1.0}, 1024)
+        for n_samples in (1, 5, 25, 200):
+            assert covers_check(cls, m, n_samples=n_samples, seed=0, lambda_trials=10).n_samples == n_samples
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), eps=st.floats(0.01, 1.0), p=st.floats(0.0, 2.0))

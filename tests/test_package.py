@@ -1,8 +1,8 @@
 """The package namespace: one list of public names, each bound to its
 stage module's object; no module imports a name it does not use or reads
-the environment, every spec field annotation has a check, no cell body
-builds what the cell worker hands it, and importing the package loads
-numpy but not scipy."""
+the environment, every spec field annotation has a check, every cell body
+takes one signature and builds nothing the cell worker hands it, and
+importing the package loads numpy but not scipy."""
 
 import ast
 import importlib
@@ -91,16 +91,21 @@ def test_every_spec_field_annotation_has_a_check():
     assert unchecked == {}
 
 
+def _cell_bodies(*also: str) -> list[ast.FunctionDef]:
+    """The cell bodies of experiments.py, and the functions named in also."""
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_cell_") or node.name in also) and node.name != "_cell_worker"
+    ]
+
+
 def test_cell_bodies_build_nothing():
     """_cell_worker builds each cell's entry, model and prior once; the
     cell bodies and their shared coverage pass take them as arguments."""
     makers = {"_build_signal", "_build_entry", "make_model", "DdmParams"}
-    tree = ast.parse((SRC / "experiments.py").read_text())
-    bodies = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and (node.name.startswith("_cell_") or node.name == "_coverage_reps") and node.name != "_cell_worker"
-    ]
+    bodies = _cell_bodies("_coverage_reps")
     calls = {
         (body.name, node.func.id)
         for body in bodies
@@ -109,3 +114,16 @@ def test_cell_bodies_build_nothing():
     }
     assert len(bodies) == 8
     assert calls == set()
+
+
+def test_cell_bodies_share_one_signature():
+    """_cell_worker calls every body as body(spec, cell_idx, entry_idx,
+    entry, model, params); the entry is named after what it is."""
+    bodies = _cell_bodies()
+    assert len(bodies) == 7
+    for body in bodies:
+        args = body.args
+        assert not (args.vararg or args.kwarg or args.kwonlyargs or args.defaults), body.name
+        names = [a.arg for a in args.args]
+        assert len(names) == 6, body.name
+        assert names[:2] + names[4:] == ["spec", "cell_idx", "model", "params"], body.name
