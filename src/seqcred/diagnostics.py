@@ -43,20 +43,21 @@ CENTER_RULES = ("default-center", "posterior-mean")
 PSI_SCALINGS = ("oracle-rate", "sigma-sum-surrogate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionEstimate:
-    """One point of an estimated condition function.
+    """An estimated condition function over its grid.
 
-    kind is one of phi1 / psi / phi2; argument is the grid point (M or
-    delta); scale is the yardstick the event radius was measured against
-    (oracle rate or surrogate sigma-sum); center_flags counts replications
-    whose default-center verification failed.
+    kind is one of phi1 / psi / phi2; values[k] and std_errors[k] estimate
+    it at grid[k] (an M or a delta); scale is the yardstick the event
+    radius was measured against (oracle rate or surrogate sigma-sum);
+    center_flags counts replications whose default-center verification
+    failed.  Records of arrays do not compare with ==; compare fields.
     """
 
     kind: str
-    argument: float
-    value: float
-    std_error: float
+    grid: np.ndarray
+    values: np.ndarray
+    std_errors: np.ndarray
     reps: int
     inner_mc: int
     scale: float = math.nan
@@ -85,15 +86,6 @@ def check_estimator_args(center_rule: str, reps: int, inner_mc: int) -> tuple[in
     if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
         raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
     return reps, inner_mc
-
-
-def _as_grid(values) -> tuple[np.ndarray, bool]:
-    if np.ndim(values) == 0:
-        return np.array([float(values)]), True
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("grid must be a scalar or a nonempty 1-d sequence")
-    return arr, False
 
 
 class Replications(NamedTuple):
@@ -166,7 +158,7 @@ def estimate_phi1(
     reps: int = 500,
     inner_mc: int = 2000,
     seed: int | np.random.SeedSequence | None = None,
-) -> ConditionEstimate | list[ConditionEstimate]:
+) -> ConditionEstimate:
     """Expected posterior mass outside the ball of radius M * oracle-rate
     around the data-driven center, averaged over simulated data sets."""
     rate = oracle(signal, model).rate
@@ -183,7 +175,7 @@ def estimate_psi(
     reps: int = 500,
     inner_mc: int = 2000,
     seed: int | np.random.SeedSequence | None = None,
-) -> ConditionEstimate | list[ConditionEstimate]:
+) -> ConditionEstimate:
     """Expected posterior mass of the small ball of radius delta * scale
     around the data-driven center.
 
@@ -211,7 +203,7 @@ def estimate_phi2(
     reps: int = 500,
     seed: int | np.random.SeedSequence | None = None,
     inner_mc: int = 2000,
-) -> ConditionEstimate | list[ConditionEstimate]:
+) -> ConditionEstimate:
     """Frequency of the data-driven center missing the truth by at least
     M * oracle-rate.  Purely an outer Monte Carlo; inner draws are spent
     only on resolving the default center."""
@@ -230,29 +222,19 @@ def _estimate(
     reps: int,
     inner_mc: int,
     seed: int | np.random.SeedSequence | None,
-) -> ConditionEstimate | list[ConditionEstimate]:
+) -> ConditionEstimate:
     """Average the condition's per-replication statistic at the radii
     values * scale; phi2 reads only the centers, so it draws no distance
     batch and reports inner_mc 0.  Every argument is checked before the
     first replication."""
     reps, inner_mc = check_estimator_args(center_rule, reps, inner_mc)
-    grid, scalar = _as_grid(values)
+    grid = np.array(values, dtype=float, ndmin=1)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise ValueError("grid must be a scalar or a nonempty 1-d sequence")
     runs = replicate(model, signal, params, center_rule, inner_mc, stream(seed), reps, distances=kind != "phi2")
     means, ses = mean_and_se(CONDITIONS[kind](runs, grid * scale))
-    out = [
-        ConditionEstimate(
-            kind=kind,
-            argument=float(g),
-            value=float(v),
-            std_error=float(s),
-            reps=reps,
-            inner_mc=0 if runs.dists is None else inner_mc,
-            scale=float(scale),
-            center_flags=runs.flags,
-        )
-        for g, v, s in zip(grid, means, ses)
-    ]
-    return out[0] if scalar else out
+    inner_mc = 0 if runs.dists is None else inner_mc
+    return ConditionEstimate(kind, grid, means, ses, reps, inner_mc, float(scale), runs.flags)
 
 
 @dataclass(frozen=True)

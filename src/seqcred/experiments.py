@@ -25,7 +25,7 @@ import os
 import time
 import traceback
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -137,8 +137,9 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not getattr(self, _KINDS[self.kind].entries):
             raise ValueError(f"{self.kind} needs a nonempty {_KINDS[self.kind].entries} tuple")
-        if not self.eps_grid:
-            raise ValueError("eps_grid must be nonempty")
+        for name in ("eps_grid", "m_grid", "delta_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         check_estimator_args(self.center_rule, self.reps, self.inner_mc)
         # `> 0` is False for NaN; an unset (None) threshold is calibrated
         for name in ("pilot_reps", "n_cover_samples", "tau_ebr", "coverage_inflation",
@@ -296,7 +297,7 @@ def _row(*values) -> dict:
 # std error) tuples, which _cell_worker writes as CSV rows "<kind>:<suffix>"
 
 def _cell_contraction(spec, cell_idx, sig_idx, signal, model, params):
-    ests = estimate_phi1(
+    est = estimate_phi1(
         spec.m_grid,
         model,
         signal,
@@ -306,28 +307,25 @@ def _cell_contraction(spec, cell_idx, sig_idx, signal, model, params):
         inner_mc=spec.inner_mc,
         seed=stream(spec.master_seed, cell_idx),
     )
-    stats = [("phi1", repr(float(e.argument)), e.value, e.std_error) for e in ests]
-    values = [e.value for e in ests]
-    ratios = [
-        values[k + 1] / values[k] if values[k] > 0 else math.nan
-        for k in range(len(values) - 1)
-    ]
-    positive = [(m, v) for m, v in zip(spec.m_grid, values) if v > 0]
+    vals = est.values
+    stats = [("phi1", repr(m), v, se) for m, v, se in zip(est.grid.tolist(), vals, est.std_errors)]
+    ratios = np.divide(vals[1:], vals[:-1], out=np.full(len(vals) - 1, math.nan), where=vals[:-1] > 0)
+    positive = vals > 0
     slope = (
-        float(np.polyfit(np.log([m for m, _ in positive]), np.log([v for _, v in positive]), 1)[0])
-        if len(positive) >= 2
+        float(np.polyfit(np.log(est.grid[positive]), np.log(vals[positive]), 1)[0])
+        if positive.sum() >= 2
         else math.nan
     )
     summary = {
         "m_grid": list(spec.m_grid),
-        "estimates": values,
-        "std_errors": [e.std_error for e in ests],
-        "nonincreasing": bool(all(values[k + 1] <= values[k] for k in range(len(values) - 1))),
-        "consecutive_ratios": ratios,
-        "halving_ok": bool(all(not (r > 0.5) for r in ratios if not math.isnan(r))),
+        "estimates": vals.tolist(),
+        "std_errors": est.std_errors.tolist(),
+        "nonincreasing": bool(np.all(np.diff(vals) <= 0)),
+        "consecutive_ratios": ratios.tolist(),
+        "halving_ok": not np.any(ratios > 0.5),
         "slope": slope,
-        "center_flags": ests[0].center_flags,
-        "oracle_rate": ests[0].scale,
+        "center_flags": est.center_flags,
+        "oracle_rate": est.scale,
     }
     return stats, summary
 
@@ -366,11 +364,10 @@ def _cell_small_ball(spec, cell_idx, sig_idx, signal, model, params):
     deltas = np.asarray(spec.delta_grid, dtype=float)
     envelope = deltas * np.log(1.0 / deltas) ** (spec.p + 0.5)
     ref_idx = int(np.argmax(deltas))
-    d_ref = float(deltas[ref_idx])
     stats = []
     per_scaling = {}
     for k, scaling in enumerate(("oracle-rate", "sigma-sum-surrogate")):
-        ests = estimate_psi(
+        est = estimate_psi(
             spec.delta_grid,
             model,
             signal,
@@ -381,20 +378,19 @@ def _cell_small_ball(spec, cell_idx, sig_idx, signal, model, params):
             inner_mc=spec.inner_mc,
             seed=stream(spec.master_seed, cell_idx, k),
         )
-        stats += [(f"psi:{scaling}", repr(float(e.argument)), e.value, e.std_error) for e in ests]
-        ref_val = ests[ref_idx].value
-        c_hat = float(ref_val / envelope[ref_idx]) if envelope[ref_idx] > 0 else math.nan
-        vals = np.array([e.value for e in ests])
+        vals = est.values
+        stats += [(f"psi:{scaling}", repr(d), v, se) for d, v, se in zip(est.grid.tolist(), vals, est.std_errors)]
+        c_hat = float(vals[ref_idx] / envelope[ref_idx]) if envelope[ref_idx] > 0 else math.nan
         env_ok = bool(np.all(vals <= c_hat * envelope + 1e-12)) if not math.isnan(c_hat) else bool(np.all(vals == 0.0))
         per_scaling[scaling] = {
-            "delta_grid": list(map(float, deltas)),
-            "estimates": [e.value for e in ests],
-            "std_errors": [e.std_error for e in ests],
-            "scale": ests[0].scale,
+            "delta_grid": deltas.tolist(),
+            "estimates": vals.tolist(),
+            "std_errors": est.std_errors.tolist(),
+            "scale": est.scale,
             "c_hat": c_hat,
-            "c_hat_at": d_ref,
+            "c_hat_at": float(deltas[ref_idx]),
             "envelope_ok": env_ok,
-            "center_flags": ests[0].center_flags,
+            "center_flags": est.center_flags,
         }
     summary = {
         "scalings": per_scaling,
@@ -663,39 +659,57 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 # worker + driver
 
 def _cell_worker(job):
-    """Run one cell body, pilot or main, and write its statistics as CSV rows
-    under the cell seed; a failing cell returns its traceback instead."""
+    """Run one cell body, pilot or main, and return (rows, summary, error):
+    its statistics as CSV rows under the cell seed and its summary, or, for
+    a failing cell, one error row, a failed placeholder and the traceback."""
     spec, cell_idx, (i, j), body = job
+    entries = _KINDS[spec.kind].entries
     eps = spec.eps_grid[j]
     try:
-        entry, name, params = _build_entry(spec, _KINDS[spec.kind].entries, i, eps)
+        entry, name, params = _build_entry(spec, entries, i, eps)
         model = make_model(eps, spec.p, spec.n_trunc)
         stats, summary = body(spec, cell_idx, i, entry, model, DdmParams(K=spec.K, alpha=spec.alpha))
         seed = seed_int(stream(spec.master_seed, cell_idx))
         rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
                 for suffix, grid, stat, se in stats]
     except Exception:
-        return cell_idx, None, traceback.format_exc()
-    label = _KINDS[spec.kind].entries[:-1]
-    return cell_idx, (rows, {label: f"{name}{_params_str(params)}", "epsilon": eps, **summary}), None
+        desc = getattr(spec, entries)[i]
+        tag = desc.get("name") or desc.get("kind") or "?"
+        row = _row(f"{spec.kind}:error", str(tag), dict(desc.get("params", {})), eps, "error", math.nan, math.nan, 0)
+        return [row], {"cell": cell_idx, "failed": True}, traceback.format_exc()
+    return rows, {"cell": cell_idx, entries[:-1]: f"{name}{_params_str(params)}", "epsilon": eps, **summary}, None
 
 
-def _map_cells(jobs, n_workers: int):
+def _run_pass(spec, body, coords, n_workers: int, failed: list, phase: str) -> tuple[list, list]:
+    """Run body on every cell, on a process pool when there are workers and
+    cells to share; return the rows and summaries in cell order, and append
+    a {cell, coord, phase, error} record to failed for each failing cell."""
+    jobs = [(spec, idx, coord, body) for idx, coord in enumerate(coords)]
     if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(_cell_worker, jobs))
-    return [_cell_worker(j) for j in jobs]
+        with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(_cell_worker, jobs))
+    else:
+        outcomes = [_cell_worker(job) for job in jobs]
+    rows, summaries = [], []
+    for coord, (cell_rows, summary, error) in zip(coords, outcomes):
+        rows += cell_rows
+        summaries.append(summary)
+        if error is not None:
+            failed.append({"cell": summary["cell"], "coord": list(coord), "phase": phase, "error": error})
+    return rows, summaries
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every cell of the spec and assemble rows, summary, and outputs.
 
-    A failing cell is recorded in summary["failed_cells"] with its traceback
-    and contributes a single error row; other cells are unaffected.
+    A failing cell contributes one error row and a {"cell", "failed": True}
+    summary, and summary["failed_cells"] gets its {cell, coord, phase, error}
+    record: coord is its (entry, eps) index pair, phase "pilot" or "main",
+    error its traceback.  Other cells are unaffected.
     """
     t0 = time.monotonic()
-    entries = getattr(spec, _KINDS[spec.kind].entries)
-    coords = [(i, j) for i in range(len(entries)) for j in range(len(spec.eps_grid))]
+    n_entries = len(getattr(spec, _KINDS[spec.kind].entries))
+    coords = [(i, j) for i in range(n_entries) for j in range(len(spec.eps_grid))]
     n_workers = max(1, spec.workers)
     report = ExperimentReport(spec=spec)
     failed: list = []
@@ -706,27 +720,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         report.summary.update(inflation_C=cell_spec.coverage_inflation, size_c=cell_spec.size_threshold,
                               pilot_cells=pilot_cells, pilot_reps=spec.pilot_reps)
 
-    jobs = [(cell_spec, idx, coord, _KINDS[spec.kind].cell) for idx, coord in enumerate(coords)]
-    outcomes = _map_cells(jobs, n_workers)
-
-    cell_summaries: list = []
-    for cell_idx, payload, err in outcomes:
-        coord = coords[cell_idx]
-        eps = spec.eps_grid[coord[1]]
-        if err is not None:
-            desc = entries[coord[0]]
-            tag = desc.get("name") or desc.get("kind") or "?"
-            report.cells.append(
-                _row(f"{spec.kind}:error", str(tag), dict(desc.get("params", {})), eps, "error", math.nan, math.nan, 0)
-            )
-            failed.append({"cell": cell_idx, "coord": list(coord), "error": err})
-            cell_summaries.append({"cell": cell_idx, "failed": True})
-            continue
-        rows, cell_summary = payload
-        report.cells.extend(rows)
-        cell_summary["cell"] = cell_idx
-        cell_summaries.append(cell_summary)
-
+    report.cells, cell_summaries = _run_pass(cell_spec, _KINDS[spec.kind].cell, coords, n_workers, failed, "main")
     report.summary["cells"] = cell_summaries
     report.summary["failed_cells"] = failed
     ok_cells = [c for c in cell_summaries if not c.get("failed")]
@@ -746,20 +740,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _calibrate_coverage(spec, coords, n_workers, failed):
-    """Pilot pass: the spec with its inflation and size threshold set from
-    the pilot cells where the spec leaves them unset, and those cells."""
+    """Pilot pass, whose rows are dropped: the spec with its inflation and size
+    threshold set where it leaves them unset, and the successful pilot cells."""
     need_c = spec.coverage_inflation is None
     need_s = spec.size_threshold is None
     pilot_cells: list = []
     if need_c or need_s:
-        jobs = [(spec, idx, coord, _cell_coverage_pilot) for idx, coord in enumerate(coords)]
-        for cell_idx, payload, err in _map_cells(jobs, n_workers):
-            if err is not None:
-                failed.append({"cell": cell_idx, "phase": "pilot", "error": err})
-                continue
-            _, summary = payload
-            summary["cell"] = cell_idx
-            pilot_cells.append(summary)
+        _, summaries = _run_pass(spec, _cell_coverage_pilot, coords, n_workers, failed, "pilot")
+        pilot_cells = [c for c in summaries if not c.get("failed")]
     inflation = spec.coverage_inflation
     if need_c:
         member = [c["q98_miss_ratio"] for c in pilot_cells if c["ebr_member"]]

@@ -23,6 +23,11 @@ from seqcred import (
 SMALL = dict(reps=12, inner_mc=1000, seed=31)
 
 
+def _fields(est) -> dict:
+    """A ConditionEstimate's fields, its arrays as lists, for comparison."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(est).items()}
+
+
 @pytest.fixture(scope="module")
 def tiny_model():
     return make_model(0.1, 0.0, 96)
@@ -35,34 +40,44 @@ def tiny_signal():
 
 class TestConditionEstimators:
     def test_phi1_monotone_on_shared_draws(self, tiny_model, tiny_signal, params):
-        ests = estimate_phi1([1.0, 2.0, 4.0], tiny_model, tiny_signal, params, **SMALL)
-        vals = [e.value for e in ests]
+        est = estimate_phi1([1.0, 2.0, 4.0], tiny_model, tiny_signal, params, **SMALL)
+        vals = est.values.tolist()
         assert vals == sorted(vals, reverse=True)
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_phi1_at_zero_radius_is_one(self, tiny_model, tiny_signal, params):
         est = estimate_phi1(0.0, tiny_model, tiny_signal, params, **SMALL)
-        assert est.value == 1.0
+        assert est.values.tolist() == [1.0]
         assert est.kind == "phi1"
 
     def test_phi1_vanishes_at_huge_radius(self, tiny_model, tiny_signal, params):
         est = estimate_phi1(1e6, tiny_model, tiny_signal, params, **SMALL)
-        assert est.value == 0.0
+        assert est.values.tolist() == [0.0]
 
     def test_scalar_vs_grid_return(self, tiny_model, tiny_signal, params):
+        """A scalar argument and its one-point grid give the same record of
+        length-1 arrays."""
         one = estimate_phi1(2.0, tiny_model, tiny_signal, params, **SMALL)
-        lst = estimate_phi1([2.0], tiny_model, tiny_signal, params, **SMALL)
-        assert isinstance(lst, list) and len(lst) == 1
-        assert one.value == lst[0].value
+        grid = estimate_phi1([2.0], tiny_model, tiny_signal, params, **SMALL)
+        for est in (one, grid):
+            assert est.grid.shape == est.values.shape == est.std_errors.shape == (1,)
+        assert _fields(one) == _fields(grid)
+
+    def test_grid_shares_the_draws_of_its_points(self, tiny_model, tiny_signal, params):
+        """Point k of a grid estimate equals the estimate at grid[k] alone."""
+        grid = estimate_psi([0.05, 0.5], tiny_model, tiny_signal, params, **SMALL)
+        for k, delta in enumerate(grid.grid.tolist()):
+            one = estimate_psi(delta, tiny_model, tiny_signal, params, **SMALL)
+            assert (one.values[0], one.std_errors[0]) == (grid.values[k], grid.std_errors[k])
 
     def test_deterministic(self, tiny_model, tiny_signal, params):
         a = estimate_phi1(2.0, tiny_model, tiny_signal, params, **SMALL)
         b = estimate_phi1(2.0, tiny_model, tiny_signal, params, **SMALL)
-        assert a == b
+        assert _fields(a) == _fields(b)
 
     def test_psi_monotone_and_saturates(self, tiny_model, tiny_signal, params):
-        ests = estimate_psi([0.05, 0.5, 1e6], tiny_model, tiny_signal, params, **SMALL)
-        vals = [e.value for e in ests]
+        est = estimate_psi([0.05, 0.5, 1e6], tiny_model, tiny_signal, params, **SMALL)
+        vals = est.values.tolist()
         assert vals == sorted(vals)
         assert vals[-1] == 1.0  # the huge ball swallows every draw
 
@@ -77,11 +92,11 @@ class TestConditionEstimators:
         )
 
     def test_phi2_monotone(self, tiny_model, tiny_signal, params):
-        ests = estimate_phi2([0.5, 1.0, 8.0], tiny_model, tiny_signal, params,
-                             reps=12, seed=31)
-        vals = [e.value for e in ests]
+        est = estimate_phi2([0.5, 1.0, 8.0], tiny_model, tiny_signal, params,
+                            reps=12, seed=31)
+        vals = est.values.tolist()
         assert vals == sorted(vals, reverse=True)
-        assert ests[0].inner_mc == 0  # no inner draws are recorded for phi2
+        assert est.inner_mc == 0  # no inner draws are recorded for phi2
 
     def test_posterior_mean_rule(self, tiny_model, tiny_signal, params):
         est = estimate_phi2(1.0, tiny_model, tiny_signal, params,

@@ -129,6 +129,8 @@ class TestSpec:
         dict(kind="coverage-size", signals=({"kind": "zero"},), size_c_grid=(2.0, 0.0)),
         dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), n_cover_samples=0),
         dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), n_cover_samples=-3),
+        dict(kind="contraction", signals=({"kind": "zero"},), m_grid=()),
+        dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=()),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -307,6 +309,34 @@ class TestCoverageCells:
         a = write_report(coverage_report, "csv", tmp_path / "real.csv").read_bytes()
         b = write_report(flagged, "csv", tmp_path / "flagged.csv").read_bytes()
         assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest()
+
+    def test_failing_cell_is_recorded_in_both_passes(self, coverage_report, monkeypatch):
+        """A cell that raises in the pilot and in the main pass leaves one
+        failure record of one shape per pass, no pilot summary, a failed
+        placeholder among the cells and a single CSV error row."""
+        from seqcred import experiments
+
+        real = experiments._coverage_reps
+
+        def first_cell_raises(spec, cell_idx, *args, **kwargs):
+            if cell_idx == 0:
+                raise RuntimeError("injected cell failure")
+            return real(spec, cell_idx, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_coverage_reps", first_cell_raises)
+        rep = run_experiment(coverage_report.spec)
+        s = rep.summary
+        assert [set(f) for f in s["failed_cells"]] == [{"cell", "coord", "phase", "error"}] * 2
+        assert [(f["cell"], f["coord"], f["phase"]) for f in s["failed_cells"]] == [(0, [0, 0], "pilot"),
+                                                                                    (0, [0, 0], "main")]
+        assert all("injected cell failure" in f["error"] for f in s["failed_cells"])
+        assert [c["cell"] for c in s["pilot_cells"]] == [1]
+        assert s["cells"][0] == {"cell": 0, "failed": True}
+        assert s["cells"][1]["cell"] == 1 and "coverage" in s["cells"][1]
+        error_rows = [r for r in rep.cells if r["kind"] == "coverage-size:error"]
+        assert len(error_rows) == 1 and error_rows[0]["signal_kind"] == "zero"
+        assert math.isnan(error_rows[0]["statistic"])
+        assert not s["acceptance_ok"]
 
     def test_pinned_calibration_skips_pilot(self):
         spec = default_spec(

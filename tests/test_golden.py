@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from seqcred import (
+    ConditionEstimate,
     DdmParams,
     estimate_phi1,
     estimate_phi2,
@@ -169,7 +170,7 @@ def small_ball_nonzero(p: float) -> tuple[int, str]:
     return nonzero, _csv_sha256(report)
 
 
-def condition_estimates(p: float, center_rule: str, condition: str) -> list:
+def condition_estimates(p: float, center_rule: str, condition: str) -> ConditionEstimate:
     estimator = {"phi1": estimate_phi1, "psi": estimate_psi, "phi2": estimate_phi2}[condition]
     grid = GRIDS[p][("phi1", "psi", "phi2").index(condition)]
     model = make_model(0.1, p, 96)
@@ -178,6 +179,11 @@ def condition_estimates(p: float, center_rule: str, condition: str) -> list:
         grid, model, signal, DdmParams(K=2.0, alpha=0.04),
         center_rule=center_rule, reps=4, inner_mc=1000, seed=31,
     )
+
+
+def _pairs(est: ConditionEstimate) -> list[tuple[float, float]]:
+    """The (value, std error) pair at each grid point, as ESTIMATES holds them."""
+    return list(zip(est.values.tolist(), est.std_errors.tolist()))
 
 
 def pilot_ratios(p: float) -> list[float]:
@@ -230,9 +236,9 @@ def test_small_ball_csv_hash_with_nonzero_psi(p):
 
 @pytest.mark.parametrize("p, center_rule, condition", sorted(ESTIMATES))
 def test_condition_estimates(p, center_rule, condition):
-    ests = condition_estimates(p, center_rule, condition)
-    assert [(e.value, e.std_error) for e in ests] == ESTIMATES[(p, center_rule, condition)], _version_note()
-    assert all(e.center_flags == 0 for e in ests)
+    est = condition_estimates(p, center_rule, condition)
+    assert _pairs(est) == ESTIMATES[(p, center_rule, condition)], _version_note()
+    assert est.center_flags == 0
 
 
 @pytest.mark.parametrize("p", sorted(PILOT_RATIOS))
@@ -298,9 +304,7 @@ def record() -> dict:
     return {
         "CSV_SHA256": {key: default_csv_sha256(*key) for key in CSV_SHA256},
         "SMALL_BALL_NONZERO": {p: small_ball_nonzero(p) for p in SMALL_BALL_NONZERO},
-        "ESTIMATES": {
-            key: [(e.value, e.std_error) for e in condition_estimates(*key)] for key in ESTIMATES
-        },
+        "ESTIMATES": {key: _pairs(condition_estimates(*key)) for key in ESTIMATES},
         "PILOT_RATIOS": {p: pilot_ratios(p) for p in PILOT_RATIOS},
         "OVERSMOOTHING": (res.estimate, res.std_error, res.per_rep.tolist()),
         "BALL": cli_ball(),

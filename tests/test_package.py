@@ -127,3 +127,17 @@ def test_cell_bodies_share_one_signature():
         names = [a.arg for a in args.args]
         assert len(names) == 6, body.name
         assert names[:2] + names[4:] == ["spec", "cell_idx", "model", "params"], body.name
+
+
+def test_one_pass_runner():
+    """_run_pass is the one function that maps _cell_worker over the cells
+    and the one that opens a process pool, so the pilot and the main pass
+    collect their cells through the same loop."""
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    users: dict = {"_cell_worker": set(), "ProcessPoolExecutor": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in users:
+                users[name].add(getattr(top, "name", None))
+    assert users == {"_cell_worker": {"_run_pass"}, "ProcessPoolExecutor": {"_run_pass"}}
