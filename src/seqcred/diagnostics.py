@@ -231,6 +231,8 @@ def _estimate(
     grid = np.array(values, dtype=float, ndmin=1)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid must be a scalar or a nonempty 1-d sequence")
+    if not np.all(grid >= 0):  # NaN compares False
+        raise ValueError(f"grid values must be nonnegative, got {grid.tolist()}")
     runs = replicate(model, signal, params, center_rule, inner_mc, stream(seed), reps, distances=kind != "phi2")
     means, ses = mean_and_se(CONDITIONS[kind](runs, grid * scale))
     inner_mc = 0 if runs.dists is None else inner_mc

@@ -8,6 +8,9 @@ level, which keeps every tail sum downstream exact.  That convention is
 stated here once: ``family_radii`` gives the radii a_i of the sobolev,
 analytic and parametric families (signals and smoothness scales alike),
 ``tail_sums`` the tail sums sum_{i>I} v_i, and ``pad`` the zero padding.
+So are the noise sums, as ``ModelConfig.sigma_sq`` and ``variance_sums``
+(Sigma(I)): the oracle module reads them and ``tail_sums`` from here, except
+the surrogate oracle's kappa_i^2 = i^{2p}, whose rounding decides its ties.
 """
 
 from __future__ import annotations
@@ -112,17 +115,6 @@ class ModelConfig:
     def variance_sums(self) -> np.ndarray:
         """Index j holds Sigma(j) = sum_{i<=j} sigma_i^2 for j = 0..n_trunc."""
         return _readonly(np.concatenate(([0.0], np.cumsum(self.sigma_sq))))
-
-    def variance_sum(self, a: float) -> float:
-        """Sigma(a) = sum of sigma_i^2 over i <= a; empty sums are 0.
-
-        Accepts real arguments (the sum runs to floor(a)) and clips at the
-        truncation level.
-        """
-        j = int(math.floor(a))
-        if j <= 0:
-            return 0.0
-        return float(self.variance_sums[min(j, self.n_trunc)])
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .model import ModelConfig, Signal, _integer, family_radii, pad, tail_sums
+from .model import ModelConfig, Signal, _integer, family_radii, make_model, pad, tail_sums
 
 __all__ = [
     "OracleResult",
@@ -91,6 +91,8 @@ def surrogate_oracle(signal: Signal, model: ModelConfig) -> SurrogateOracleResul
     case p = 0 it coincides with the oracle index.
     """
     n = model.n_trunc
+    # kappa_i^2 is built here, not read as sigma_sq / eps^2: rounding decides this
+    # argmin's ties (the p = 1 deceptive spike at j = 11), and that would move them
     i = np.arange(1, n + 1, dtype=float)
     kappa_sq = i ** (2.0 * model.p)
     r2 = model.epsilon**2 * i + tail_sums(signal.padded(n) ** 2 / kappa_sq)[1:]
@@ -98,7 +100,7 @@ def surrogate_oracle(signal: Signal, model: ModelConfig) -> SurrogateOracleResul
     return SurrogateOracleResult(
         i_bar=i0 + 1,
         surr_rate_sq=float(r2[i0]),
-        sigma_sum=model.variance_sum(i0 + 1),
+        sigma_sum=float(model.variance_sums[i0 + 1]),
     )
 
 
@@ -143,16 +145,11 @@ def pt_check(signal: Signal, L0: float, N0: int, rho0: float) -> bool:
         raise ValueError(f"N0 must be a positive integer, got {N0}")
     if not rho0 >= 2:
         raise ValueError(f"rho0 must be >= 2, got {rho0}")
-    th2 = np.asarray(signal.coeffs) ** 2
-    n = len(th2)
-    s = np.concatenate(([0.0], np.cumsum(th2)))  # s[j] = sum_{i<=j}
-    for start in range(int(N0), n + 1):
-        hi = min(int(math.floor(rho0 * start)), n)
-        tail = s[n] - s[start - 1]
-        window = s[hi] - s[start - 1]
-        if tail > L0 * window:
-            return False
-    return True
+    n = len(signal)
+    tail = tail_sums(signal.coeffs**2)  # tail[N - 1] = sum_{i >= N}
+    start = np.arange(int(N0), n + 1)
+    hi = np.minimum(np.floor(rho0 * start), n).astype(int)
+    return bool(np.all(tail[start - 1] <= L0 * (tail[start - 1] - tail[hi])))
 
 
 def pt_to_ebr_tau(L0: float, N0: int, rho0: float, p: float) -> float:
@@ -181,7 +178,7 @@ class SigmaConstants:
 def sigma_constants(p: float, rho: float = 2.0, gamma: float = 0.5, tau0: float = 2.0) -> SigmaConstants:
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
-    if rho < 1 or tau0 < 1:
+    if not (rho >= 1 and tau0 >= 1):  # NaN compares False
         raise ValueError(f"rho and tau0 must be >= 1, got rho={rho}, tau0={tau0}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -218,6 +215,9 @@ class SigmaConditionReport:
 # flip the comparison by a few ulps
 _REL_TOL = 1e-9
 
+# the most noise terms (400 MB of floats) a sigma-condition check builds in one array
+_MAX_TERMS = 50_000_000
+
 
 def verify_sigma_conditions(
     model: ModelConfig,
@@ -243,11 +243,11 @@ def verify_sigma_conditions(
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     c = sigma_constants(model.p, rho=rho, gamma=gamma, tau0=tau0)
-    eps2 = model.epsilon**2
+    if not rho * n_max + n_max <= _MAX_TERMS:  # Sigma(rho*n_max), up to 2*n_max region points
+        raise ValueError(f"rho={rho}, n_max={n_max} need more than {_MAX_TERMS:.0e} noise terms")
     top = max(int(math.floor(rho * n_max)), n_max)
-    i = np.arange(1, top + 1, dtype=float)
-    sig2 = eps2 * i ** (2.0 * model.p)
-    s = np.concatenate(([0.0], np.cumsum(sig2)))  # s[j] = Sigma(j)
+    extended = make_model(model.epsilon, model.p, top)
+    sig2, s = extended.sigma_sq, extended.variance_sums  # s[j] = Sigma(j)
 
     violations: list[tuple[str, float]] = []
     margins: dict[str, float] = {}
@@ -271,7 +271,7 @@ def verify_sigma_conditions(
     check("ii", s[np.floor(rho * ns).astype(int)], c.k2 * s[ns], ns)
 
     # (iii) sum_n exp(-gamma*n) * Sigma(n) <= K3(gamma) * sigma_1^2
-    check("iii", _geometric_series_bound(model, gamma), c.k3 * eps2, np.array([0]))
+    check("iii", _geometric_series_bound(model, gamma), c.k3 * model.epsilon**2, np.array([0]))
 
     # (iv) Sigma(floor(m/tau)) <= (1 - K4) * Sigma(m), all real m >= tau
     m_pts = _region_points(c.tau, n_max)
@@ -307,29 +307,18 @@ def _geometric_series_bound(model: ModelConfig, gamma: float) -> float:
     """Upper bound for sum_{n>=1} exp(-gamma*n) * Sigma(n): partial sum plus
     a geometric tail bound valid once the term ratio falls below e^{-gamma/2}."""
     eps2 = model.epsilon**2
-    two_p1 = 2.0 * model.p + 1.0
-    # term ratio <= e^{-gamma} (1+1/n)^{2p+1} <= e^{-gamma/2} for n >= n_ratio
-    n_ratio = max(2, math.ceil(2.0 * two_p1 / gamma))
-    total = 0.0
-    term = 0.0
-    start = 1
-    sigma_cum = 0.0
-    while True:
-        stop = max(2 * start, n_ratio + 1, 1024)
-        n = np.arange(start, stop + 1, dtype=float)
-        sig2 = eps2 * n ** (2.0 * model.p)
-        sigma_run = sigma_cum + np.cumsum(sig2)
-        terms = np.exp(-gamma * n) * sigma_run
-        total += float(terms.sum())
-        sigma_cum = float(sigma_run[-1])
+    # term ratio <= e^{-gamma} (1+1/n)^{2p+1} <= e^{-gamma/2} for n >= 2(2p+1)/gamma
+    n = max(1024, math.ceil(2.0 * (2.0 * model.p + 1.0) / gamma) + 1)
+    while n <= _MAX_TERMS:
+        sums = make_model(model.epsilon, model.p, n).variance_sums[1:]
+        terms = np.exp(-gamma * np.arange(1, n + 1)) * sums
+        total = float(terms.sum())
         term = float(terms[-1])
-        start = stop + 1
-        if stop >= n_ratio and term <= 1e-18 * max(total, eps2):
-            break
-        if stop > 50_000_000:  # pragma: no cover - safety valve
-            raise RuntimeError("series truncation failed to converge")
-    q = math.exp(-gamma / 2.0)
-    return total + term * q / (1.0 - q)
+        if term <= 1e-18 * max(total, eps2):
+            q = math.exp(-gamma / 2.0)
+            return total + term * q / (1.0 - q)
+        n *= 2
+    raise ValueError(f"the series at gamma={gamma} needs more than {_MAX_TERMS:.0e} noise terms")
 
 
 def _validate_radii(a: np.ndarray) -> np.ndarray:
@@ -451,17 +440,16 @@ def covers_check(
     n_samples: int = 200,
     seed: int | np.random.SeedSequence | np.random.Generator | None = 0,
     lambda_trials: int = 1000,
-    lambda_dim: int = 50,
 ) -> CoversReport:
     """Check that the local radial rate never beats the global rate by more
     than the proven comparison constant, over boundary-biased samples.
 
     Also runs the monotone-linear-estimator comparison: for random
-    nonincreasing weights lambda in [0,1]^N and random theta, the linear
-    risk sum_i [sigma_i^2 lambda_i^2 + (1-lambda_i)^2 theta_i^2] must be at
-    least a quarter of r^2(N_lambda, theta) where N_lambda is the last index
-    with lambda_i >= 1/2.  Both inequalities are exact, so no tolerance is
-    applied.
+    nonincreasing weights lambda in [0,1]^N, N = min(50, n_trunc), and random
+    theta, the linear risk sum_i [sigma_i^2 lambda_i^2 + (1-lambda_i)^2
+    theta_i^2] must be at least a quarter of r^2(N_lambda, theta) where
+    N_lambda is the last index with lambda_i >= 1/2.  Both inequalities are
+    exact, so no tolerance is applied.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
@@ -476,7 +464,7 @@ def covers_check(
     pos = np.flatnonzero(a > 0)
     if isinstance(cls, Hyperrectangle):
         samples.append(("full-boundary", a**2))
-        for _ in range(max(0, n_samples - 1)):
+        for _ in range(n_samples - 1):
             u = rng.uniform(0.0, 1.0, size=n)
             boundary = rng.random(n) < 0.5
             u[boundary] = 1.0
@@ -484,15 +472,15 @@ def covers_check(
     else:
         # axis spikes are the extreme points of the ellipsoid for the
         # projection risk; take a log-spaced sweep of at most n_samples
-        if len(pos):
-            js = np.unique(np.geomspace(1, len(pos), num=min(40, len(pos), n_samples)).astype(int)) - 1
-            for j in pos[js]:
-                th2 = np.zeros(n)
-                th2[j] = a[j] ** 2
-                samples.append((f"axis-{j + 1}", th2))
-        for _ in range(max(0, n_samples - len(samples))):
+        # (a_1 >= eps > 0, so pos is never empty)
+        js = np.unique(np.geomspace(1, len(pos), num=min(40, len(pos), n_samples)).astype(int)) - 1
+        for j in pos[js]:
+            th2 = np.zeros(n)
+            th2[j] = a[j] ** 2
+            samples.append((f"axis-{j + 1}", th2))
+        for _ in range(n_samples - len(samples)):
             k = int(rng.choice([1, 2, 4, 8, 16]))
-            idx = rng.choice(pos, size=min(k, len(pos)), replace=False) if len(pos) else []
+            idx = rng.choice(pos, size=min(k, len(pos)), replace=False)
             w = rng.standard_normal(len(idx)) ** 2
             w /= w.sum()
             scale = math.sqrt(float(rng.uniform(0.0, 1.0))) if rng.random() < 0.3 else 1.0
@@ -500,39 +488,31 @@ def covers_check(
             th2[idx] = scale**2 * w * a[idx] ** 2
             samples.append(("boundary-mix", th2))
 
-    worst_ratio = -math.inf
-    worst_tag = ""
-    for tag, th2 in samples:
-        ratio = float(np.min(_risk_curve(th2, model)[0])) / rate_global
-        if ratio > worst_ratio:
-            worst_ratio, worst_tag = ratio, tag
+    ratios = [float(np.min(_risk_curve(th2, model)[0])) / rate_global for _, th2 in samples]
+    worst = int(np.argmax(ratios))
 
     # monotone-weights comparison, independent of the class
-    dim = min(lambda_dim, n)
+    dim = min(50, n)
     sig2 = model.sigma_sq[:dim]
-    all_hold = True
     worst_margin = math.inf
     for _ in range(lambda_trials):
         lam = np.sort(rng.uniform(0.0, 1.0, size=dim))[::-1]
         theta = rng.standard_normal(dim) * rng.choice([0.1, 1.0, 10.0])
         th2 = theta**2
         risk_lin = float(np.sum(sig2 * lam**2 + (1.0 - lam) ** 2 * th2))
-        n_lam = int(np.flatnonzero(lam >= 0.5)[-1] + 1) if np.any(lam >= 0.5) else 0
+        n_lam = int(np.count_nonzero(lam >= 0.5))  # lam is nonincreasing
         r2 = float(model.variance_sums[n_lam] + th2[n_lam:].sum())
-        margin = risk_lin - 0.25 * r2
-        worst_margin = min(worst_margin, margin)
-        if margin < 0:
-            all_hold = False
+        worst_margin = min(worst_margin, risk_lin - 0.25 * r2)
 
     return CoversReport(
         class_kind=cls.kind,
         rate_sq=rate_global,
         threshold=threshold,
-        worst_ratio=float(worst_ratio),
-        worst_sample=worst_tag,
+        worst_ratio=ratios[worst],
+        worst_sample=samples[worst][0],
         n_samples=len(samples),
-        passed=bool(worst_ratio <= threshold),
+        passed=bool(ratios[worst] <= threshold),
         lambda_trials=lambda_trials,
-        lambda_all_hold=all_hold,
+        lambda_all_hold=bool(worst_margin >= 0),
         lambda_worst_margin=float(worst_margin),
     )

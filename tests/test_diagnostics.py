@@ -115,6 +115,10 @@ class TestConditionEstimators:
         lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps=2.5),
         lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps=True),
         lambda m, s, p: oversmoothing_probability(m, s, p, 0.01, reps="3"),
+        lambda m, s, p: estimate_phi1(math.nan, m, s, p),
+        lambda m, s, p: estimate_phi1(-1.0, m, s, p),
+        lambda m, s, p: estimate_phi2(math.nan, m, s, p),
+        lambda m, s, p: estimate_psi(math.nan, m, s, p),
     ])
     def test_rejects_bad_arguments(self, tiny_model, tiny_signal, params, bad):
         with pytest.raises(ValueError):

@@ -33,20 +33,6 @@ class TestModelConfig:
         m = make_model(0.3, 0.0, n_trunc=7)
         assert np.all(m.sigma == 0.3)
 
-    def test_variance_sum_matches_direct_sum(self):
-        m = make_model(0.1, 0.5, n_trunc=50)
-        for a in (0, 1, 3, 17, 50, 49.999, 17.2):
-            direct = sum(m.sigma_sq[: int(math.floor(a))])
-            assert m.variance_sum(a) == pytest.approx(direct, rel=1e-15)
-
-    def test_variance_sum_edge_cases(self):
-        m = make_model(0.1, 0.0, n_trunc=5)
-        assert m.variance_sum(0) == 0.0
-        assert m.variance_sum(-3) == 0.0
-        assert m.variance_sum(0.9) == 0.0
-        # clips at the truncation level instead of extrapolating
-        assert m.variance_sum(1000) == m.variance_sum(5)
-
     def test_sigma_is_readonly(self):
         m = make_model(0.1, 0.0, n_trunc=4)
         with pytest.raises(ValueError):
@@ -192,7 +178,6 @@ class TestZeroTail:
     def test_variance_sums_are_the_cumulative_variances(self):
         m = make_model(0.1, 1.0, n_trunc=6)
         np.testing.assert_array_equal(m.variance_sums, np.concatenate(([0.0], np.cumsum(m.sigma_sq))))
-        assert m.variance_sum(4.5) == m.variance_sums[4]
 
     def test_family_radii_parse_params(self):
         a, parsed = family_radii("parametric", {"Q": 4, "N0": 2.0}, 4)
@@ -320,17 +305,3 @@ def test_sobolev_boundary_weighted_squares_constant(beta, q, n):
     s = generate_signal("sobolev-boundary", {"beta": beta, "Q": q}, n_trunc=n)
     i = np.arange(1, n + 1, dtype=float)
     np.testing.assert_allclose(i ** (2 * beta + 1) * s.coeffs**2, q, rtol=1e-10)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    eps=st.floats(1e-3, 10.0, allow_nan=False),
-    p=st.floats(0.0, 3.0, allow_nan=False),
-    n=st.integers(1, 300),
-    a=st.floats(-5.0, 400.0, allow_nan=False),
-)
-def test_variance_sum_monotone_and_bounded(eps, p, n, a):
-    m = make_model(eps, p, n_trunc=n)
-    v = m.variance_sum(a)
-    assert 0.0 <= v <= m.variance_sum(n) + 1e-12
-    assert m.variance_sum(a + 1.0) >= v

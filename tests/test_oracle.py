@@ -105,7 +105,7 @@ class TestSurrogateOracle:
     def test_sigma_sum_is_variance_at_i_bar(self, sobolev_signal):
         m = make_model(0.1, 1.0, n_trunc=256)
         res = surrogate_oracle(sobolev_signal, m)
-        assert res.sigma_sum == pytest.approx(m.variance_sum(res.i_bar), rel=1e-15)
+        assert res.sigma_sum == pytest.approx(m.variance_sums[res.i_bar], rel=1e-15)
 
 
 class TestEbr:
@@ -162,6 +162,16 @@ class TestPolishedTail:
     def test_zero_signal_passes(self):
         sig = generate_signal("zero", n_trunc=16)
         assert pt_check(sig, L0=1.0, N0=1, rho0=2.0)
+
+    def test_tail_below_rounding_still_counts(self):
+        """At N = 2 the tail is 1e-18 and the window [2, 4] is empty.  A tail
+        taken as a difference of prefix sums, 1 + 1e-18 - 1, reads 0 there
+        and lets the late spike pass."""
+        coeffs = np.zeros(64)
+        coeffs[0], coeffs[49] = 1.0, 1e-9
+        sig = generate_signal("custom", {"coeffs": coeffs}, n_trunc=64)
+        assert not pt_check(sig, L0=2.0, N0=1, rho0=2.0)
+        assert pt_check(sig, L0=2.0, N0=26, rho0=2.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(L0=0.5, N0=1, rho0=2.0),
@@ -229,6 +239,9 @@ class TestSigmaConstants:
             sigma_constants(-0.1)
         with pytest.raises(ValueError):
             sigma_constants(0.0, rho=0.5)
+        for nan in (dict(rho=math.nan), dict(tau0=math.nan)):
+            with pytest.raises(ValueError, match="rho and tau0 must be >= 1"):
+                sigma_constants(0.0, **nan)
         with pytest.raises(ValueError):
             sigma_constants(0.0, gamma=0.0)
 
@@ -266,6 +279,24 @@ class TestSigmaConditions:
         for bad in (2.5, True, "3"):
             with pytest.raises(ValueError, match="n_max must be an integer"):
                 verify_sigma_conditions(make_model(0.1, 0.0, 8), n_max=bad)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_max=10, gamma=1e-9),
+        dict(n_max=10, rho=1e9),
+        dict(n_max=10, rho=math.inf),
+        dict(n_max=10**9),
+    ])
+    def test_refuses_arrays_past_the_term_bound(self, kwargs, monkeypatch):
+        """The bound is checked before any long array is built."""
+        arange = np.arange
+
+        def short_arange(*args, **kw):
+            assert max(abs(float(a)) for a in args) <= 5e7, args
+            return arange(*args, **kw)
+
+        monkeypatch.setattr(np, "arange", short_arange)
+        with pytest.raises(ValueError, match="noise terms"):
+            verify_sigma_conditions(make_model(0.1, 1.0, 8), **kwargs)
 
 
 class TestScaleClasses:
@@ -355,7 +386,7 @@ class TestMinimaxRate:
         m = make_model(0.07, 0.5, 32)
         cls = scale_class("sobolev-hyperrect", {"beta": 0.8, "Q": 2.0}, 32)
         a2 = cls.a**2
-        vals = [m.variance_sum(i_c) + float(a2[i_c:].sum()) for i_c in range(1, 33)]
+        vals = [m.variance_sums[i_c] + float(a2[i_c:].sum()) for i_c in range(1, 33)]
         assert minimax_rate(cls, m) == pytest.approx(min(vals), rel=1e-12)
 
     def test_rejects_class_below_noise_level(self):
@@ -422,7 +453,7 @@ def test_oracle_rate_below_any_candidate(seed, eps, p):
     sig = generate_signal("custom", {"coeffs": theta}, n_trunc=n)
     res = oracle(sig, m)
     i_c = int(rng.integers(1, n + 1))
-    candidate = m.variance_sum(i_c) + float(np.sum(theta[i_c:] ** 2))
+    candidate = m.variance_sums[i_c] + float(np.sum(theta[i_c:] ** 2))
     assert res.rate_sq <= candidate * (1 + 1e-12)
 
 

@@ -141,3 +141,22 @@ def test_one_pass_runner():
             if name in users:
                 users[name].add(getattr(top, "name", None))
     assert users == {"_cell_worker": {"_run_pass"}, "ProcessPoolExecutor": {"_run_pass"}}
+
+
+
+def test_noise_and_tail_sums_come_from_model():
+    """model.py states sigma_i^2, Sigma(I) and the tail sums once: oracle.py
+    takes no cumulative sum of its own, and no module reads a second Sigma
+    accessor beside ModelConfig.variance_sums."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    oracle_calls = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(trees["oracle.py"])
+        if isinstance(node, ast.Call)
+    }
+    assert "cumsum" not in oracle_calls
+    readers = [
+        name for name, tree in trees.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "variance_sum" for node in ast.walk(tree))
+    ]
+    assert readers == []
