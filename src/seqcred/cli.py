@@ -237,7 +237,7 @@ def _cmd_experiment(args) -> int:
     if overrides:
         spec = ExperimentSpec.from_dict({**spec.to_dict(), **overrides})
     report = run_experiment(spec)
-    print(json.dumps({"summary": report.summary, "runtime": report.runtime}, indent=2, sort_keys=True, default=str))
+    print(json.dumps({"summary": report.summary, "runtime": report.runtime}, indent=2, sort_keys=True))
     if args.check and not report.summary.get("acceptance_ok", False):
         return 2
     return 0

@@ -18,6 +18,7 @@ output directory names.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -26,7 +27,7 @@ import time
 import traceback
 from collections.abc import Iterable, Mapping
 from concurrent import futures
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,7 +49,6 @@ __all__ = [
     "run_experiment",
     "write_report",
     "read_report",
-    "emit_plot_data",
 ]
 
 
@@ -90,6 +90,12 @@ _FIELD_CHECKS = {
     "tuple[float, ...]": (lambda v: all(map(_is_real, v)), "{name} must hold numbers only, got {value!r}"),
     "tuple[dict, ...]": (lambda v: all(isinstance(d, dict) for d in v), "each {entry} must be a dict, got {value!r}"),
 }
+
+
+def _require_positive(name: str, value) -> None:
+    """Every value > 0, which NaN fails; None is an unset threshold, calibrated later."""
+    if value is not None and not np.all(np.asarray(value, dtype=float) > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,16 +147,14 @@ class ExperimentSpec:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         check_estimator_args(self.center_rule, self.reps, self.inner_mc)
-        # `> 0` is False for NaN; an unset (None) threshold is calibrated
         for name in ("pilot_reps", "n_cover_samples", "tau_ebr", "coverage_inflation",
                      "size_threshold", "m_grid", "size_c_grid"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.asarray(value, dtype=float) > 0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            _require_positive(name, getattr(self, name))
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be nonnegative, got {self.workers}")
+        for name in ("workers", "master_seed", "signal_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not all(0 < d < 1 for d in self.delta_grid):
             raise ValueError(f"delta_grid values must lie in (0, 1), got {list(self.delta_grid)!r}")
         # build every model, signal and scale now (make_model rejects a
@@ -380,8 +384,8 @@ def _cell_small_ball(spec, cell_idx, sig_idx, signal, model, params):
         )
         vals = est.values
         stats += [(f"psi:{scaling}", repr(d), v, se) for d, v, se in zip(est.grid.tolist(), vals, est.std_errors)]
-        c_hat = float(vals[ref_idx] / envelope[ref_idx]) if envelope[ref_idx] > 0 else math.nan
-        env_ok = bool(np.all(vals <= c_hat * envelope + 1e-12)) if not math.isnan(c_hat) else bool(np.all(vals == 0.0))
+        c_hat = float(vals[ref_idx] / envelope[ref_idx])
+        env_ok = bool(np.all(vals <= c_hat * envelope + 1e-12))
         per_scaling[scaling] = {
             "delta_grid": deltas.tolist(),
             "estimates": vals.tolist(),
@@ -538,8 +542,6 @@ def _summarize_contraction(s: dict, cells: list) -> list:
 
 def _summarize_oracle_inequality(s: dict, cells: list) -> list:
     ratios = [c["ratio"] for c in cells]
-    pilot_max = max((c["pilot_ratio"] for c in cells), default=math.nan)
-    bound = 1.25 * pilot_max if not math.isnan(pilot_max) else math.nan
     slopes = {}
     by_sig: dict = {}
     for c in cells:
@@ -551,9 +553,9 @@ def _summarize_oracle_inequality(s: dict, cells: list) -> list:
         else:
             slopes[sig] = math.nan
     s["max_ratio"] = max(ratios, default=math.nan)
-    s["pilot_max_ratio"] = pilot_max
-    s["ratio_bound"] = bound
-    s["within_bound"] = bool(ratios and not math.isnan(bound) and max(ratios) <= bound)
+    s["pilot_max_ratio"] = max((c["pilot_ratio"] for c in cells), default=math.nan)
+    s["ratio_bound"] = 1.25 * s["pilot_max_ratio"]
+    s["within_bound"] = bool(ratios and max(ratios) <= s["ratio_bound"])
     s["slopes"] = slopes
     s["slopes_ok"] = bool(slopes and all(abs(v) <= 0.15 for v in slopes.values() if not math.isnan(v)))
     return [s["within_bound"], s["slopes_ok"]]
@@ -568,9 +570,8 @@ def _summarize_coverage_size(s: dict, cells: list) -> list:
     member = [c for c in cells if c["ebr_member"]]
     deceptive = [c for c in cells if c["signal_kind"] == "deceptive"]
     s["min_ebr_coverage"] = min((c["coverage"] for c in member), default=math.nan)
-    c_star = s.get("size_c")
-    key = repr(float(c_star)) if c_star is not None else None
-    size_vals = [c["size_freqs"][key][0] for c in cells if key in c["size_freqs"]]
+    key = repr(float(s["size_c"]))
+    size_vals = [c["size_freqs"][key][0] for c in cells]
     s["max_size_freq"] = max(size_vals, default=math.nan)
     s["coverage_ok"] = bool(member and s["min_ebr_coverage"] >= 0.90)
     s["size_ok"] = bool(size_vals and s["max_size_freq"] <= 0.05)
@@ -734,8 +735,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     }
 
     if spec.out_dir is not None:
-        paths = _persist(report)
-        report.runtime["paths"] = {k: str(v) for k, v in paths.items()}
+        report.runtime["paths"] = _persist(report)
     return report
 
 
@@ -759,7 +759,12 @@ def _calibrate_coverage(spec, coords, n_workers, failed):
         if not pilot_cells:
             raise ValueError("size calibration needs at least one successful pilot cell")
         c_star = 1.25 * max(c["q99_size_ratio"] for c in pilot_cells)
-    return replace(spec, coverage_inflation=float(inflation), size_threshold=float(c_star)), pilot_cells
+    # set on a copy, since replace would rebuild every signal of the spec
+    calibrated = copy.copy(spec)
+    for name, value in (("coverage_inflation", float(inflation)), ("size_threshold", float(c_star))):
+        _require_positive(name, value)
+        object.__setattr__(calibrated, name, value)
+    return calibrated, pilot_cells
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +782,7 @@ def write_report(report: ExperimentReport, format: str = "json", path: str | Pat
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
             writer.writeheader()
-            for row in report.cells:
-                writer.writerow({col: repr(float(v)) if _COLUMNS[col] is float else v for col, v in row.items()})
+            writer.writerows(report.cells)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     return path
@@ -788,41 +792,11 @@ def read_report(path: str | Path) -> ExperimentReport:
     return ExperimentReport.from_dict(json.loads(Path(path).read_text()))
 
 
-def emit_plot_data(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """Plain-text plot files, one per cell group: a comment header followed
-    by whitespace-separated (grid, statistic, std_error) columns."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    groups: dict = {}
-    for row in report.cells:
-        key = (row["kind"], row["signal_kind"], row["signal_params"], row["epsilon"])
-        groups.setdefault(key, []).append(row)
-    paths = []
-    for g_idx, (key, rows) in enumerate(groups.items()):
-        kind, signal_kind, signal_params, eps = key
-        stem = kind.replace(":", "-")
-        path = out_dir / f"{stem}-{g_idx:03d}.dat"
-        lines = [
-            f"# kind: {kind}",
-            f"# signal: {signal_kind} {signal_params}",
-            f"# epsilon: {eps!r}",
-            "# columns: grid_value statistic std_error",
-        ]
-        for row in rows:
-            lines.append(f"{row['grid_value']} {row['statistic']!r} {row['std_error']!r}")
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
-
-
 def _persist(report: ExperimentReport) -> dict:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S-%f")
     run_dir = Path(report.spec.out_dir) / report.spec.kind / stamp
-    run_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "run_dir": run_dir,
-        "report": write_report(report, "json", run_dir / "report.json"),
-        "cells": write_report(report, "csv", run_dir / "cells.csv"),
+    return {
+        "run_dir": str(run_dir),
+        "report": str(write_report(report, "json", run_dir / "report.json")),
+        "cells": str(write_report(report, "csv", run_dir / "cells.csv")),
     }
-    paths["plots"] = [str(p) for p in emit_plot_data(report, run_dir / "plots")]
-    return paths

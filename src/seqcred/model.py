@@ -355,7 +355,7 @@ def simulate(model: ModelConfig, signal: Signal, seed: int) -> ObservedData:
         raise ValueError(
             f"signal length {len(signal)} exceeds model truncation {model.n_trunc}"
         )
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     rng = np.random.default_rng(seed)
     theta = signal.padded(model.n_trunc)
     x = theta + model.sigma * rng.standard_normal(model.n_trunc)

@@ -182,18 +182,22 @@ def sigma_constants(p: float, rho: float = 2.0, gamma: float = 0.5, tau0: float 
         raise ValueError(f"rho and tau0 must be >= 1, got rho={rho}, tau0={tau0}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    k3 = (
-        4.0
-        * (8.0 * p + 4.0) ** (2.0 * p)
-        / ((math.e * gamma) ** (2.0 * p + 1.0) * (math.exp(gamma / 2.0) - 1.0))
-    )
+    try:
+        k3 = (
+            4.0
+            * (8.0 * p + 4.0) ** (2.0 * p)
+            / ((math.e * gamma) ** (2.0 * p + 1.0) * (math.exp(gamma / 2.0) - 1.0))
+        )
+        k2 = (rho + 1.0) ** (2.0 * p + 1.0)
+    except OverflowError:
+        raise ValueError(f"K2 or K3 overflows a float at p={p}, rho={rho}, gamma={gamma}") from None
     return SigmaConstants(
         p=float(p),
         rho=float(rho),
         gamma=float(gamma),
         tau0=float(tau0),
         k1=2.0 * p + 1.0,
-        k2=(rho + 1.0) ** (2.0 * p + 1.0),
+        k2=k2,
         k3=k3,
         k4=0.5,
         tau=2.0 ** (1.0 + 1.0 / (2.0 * p + 1.0)),
@@ -260,7 +264,7 @@ def verify_sigma_conditions(
             violations.append((name, float(a)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, np.inf, 0.0))
-        margins[name] = float(np.max(ratio))
+        margins[name] = float(np.max(ratio, initial=0.0))  # no point: holds vacuously
 
     ns = np.arange(1, n_max + 1)
 
@@ -296,7 +300,10 @@ def verify_sigma_conditions(
 
 def _region_points(step: float, n_max: int) -> np.ndarray:
     """Left endpoints of the regions where both floor(x) and floor(x/step)
-    are constant: integers and multiples of step, from step up to n_max."""
+    are constant: integers and multiples of step, from step up to n_max;
+    none when step exceeds n_max."""
+    if step > n_max:
+        return np.empty(0)
     ints = np.arange(math.ceil(step), n_max + 1, dtype=float)
     mults = step * np.arange(1, math.floor(n_max / step) + 1, dtype=float)
     pts = np.unique(np.concatenate((ints, mults)))

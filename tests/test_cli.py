@@ -564,6 +564,27 @@ class TestVerifyConstants:
         assert stdout == ""
         assert json.loads(out.read_text())["volume_bound_ok"] is True
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "60"], "overflows a float at p=60.0"),
+        (["--p", "1e6"], "overflows a float at p=1000000.0"),
+        (["--tau0", "inf"], None),
+        (["--tau0", "60", "--n-max", "50"], None),
+        (["--tau0", "1e300"], None),
+        (["--n-max", "1"], None),
+        (["--n-max", "2"], None),
+        (["--n-max", "3"], None),
+    ])
+    def test_extreme_arguments_end_in_a_line_or_a_report(self, argv, message, capsys):
+        """Constants that overflow a float are one stderr line; a condition
+        with no region point in [tau, n_max] holds vacuously."""
+        code, out, err = run_cli(["verify-constants", *argv], capsys)
+        if message is None:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["sigma_conditions"]["passed"] is True
+        else:
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and message in err
+
 
 def test_full_pipeline_through_files(tmp_path, capsys):
     data = tmp_path / "data.json"

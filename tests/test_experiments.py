@@ -19,7 +19,6 @@ from seqcred import (
     ExperimentReport,
     ExperimentSpec,
     default_spec,
-    emit_plot_data,
     read_report,
     run_experiment,
     write_report,
@@ -131,6 +130,9 @@ class TestSpec:
         dict(kind="scale-adaptation", scales=({"name": "sobolev-hyperrect"},), n_cover_samples=-3),
         dict(kind="contraction", signals=({"kind": "zero"},), m_grid=()),
         dict(kind="small-ball", signals=({"kind": "zero"},), delta_grid=()),
+        dict(kind="contraction", signals=({"kind": "zero"},), master_seed=-1),
+        dict(kind="contraction", signals=({"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},),
+             signal_seed=-1),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -351,6 +353,39 @@ class TestCoverageCells:
         assert rep.summary["size_c"] == 5.0
         assert rep.summary["pilot_cells"] == []
 
+    @pytest.mark.parametrize("pinned, builds", [({}, 2), (dict(coverage_inflation=3.0, size_threshold=5.0), 1)],
+                             ids=["pilot", "pinned"])
+    def test_calibration_builds_no_signal(self, monkeypatch, pinned, builds):
+        """Each pass builds every signal of the panel once; setting the
+        calibrated values builds none."""
+        from seqcred import experiments
+
+        spec = default_spec("coverage-size", n_trunc=256, reps=2, pilot_reps=2, inner_mc=1000, **pinned)
+        calls = []
+        real = experiments.generate_signal
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_signal", counting)
+        run_experiment(spec)
+        assert len(calls) == builds * len(spec.signals)
+
+    def test_calibrated_values_must_be_positive(self, monkeypatch):
+        from seqcred import experiments
+
+        real = experiments._cell_coverage_pilot
+
+        def nan_pilot(*args):
+            stats, summary = real(*args)
+            return stats, {**summary, "q98_miss_ratio": math.nan}
+
+        monkeypatch.setattr(experiments, "_cell_coverage_pilot", nan_pilot)
+        spec = default_spec("coverage-size", signals=({"kind": "zero", "params": {}},), **FAST)
+        with pytest.raises(ValueError, match="coverage_inflation must be positive, got nan"):
+            run_experiment(spec)
+
 
 class TestOvershrinkageCells:
     def test_tracking_statistics(self):
@@ -427,14 +462,6 @@ class TestReportsAndPersistence:
         with pytest.raises(ValueError):
             write_report(contraction_report, "parquet", tmp_path / "x")
 
-    def test_plot_data_files(self, contraction_report, tmp_path):
-        paths = emit_plot_data(contraction_report, tmp_path / "plots")
-        assert len(paths) == 1
-        text = paths[0].read_text()
-        assert text.startswith("# kind: contraction:phi1")
-        data_lines = [l for l in text.splitlines() if not l.startswith("#")]
-        assert len(data_lines) == 3
-
     def test_out_dir_persists_run(self, tmp_path):
         spec = default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10,
                             eps_grid=(0.1,), out_dir=str(tmp_path))
@@ -442,10 +469,22 @@ class TestReportsAndPersistence:
         run_dir = tmp_path / "scale-adaptation"
         stamps = list(run_dir.iterdir())
         assert len(stamps) == 1
-        assert (stamps[0] / "report.json").exists()
-        assert (stamps[0] / "cells.csv").exists()
-        assert list((stamps[0] / "plots").glob("*.dat"))
+        assert sorted(p.name for p in stamps[0].iterdir()) == ["cells.csv", "report.json"]
         assert rep.runtime["paths"]["report"].endswith("report.json")
+        assert json.loads(json.dumps(rep.runtime)) == rep.runtime
+        assert all(isinstance(path, str) for path in rep.runtime["paths"].values())
+
+    def test_csv_of_read_report_matches(self, coverage_report, tmp_path):
+        """Rows read back from the JSON report, an error row's NaNs among
+        them, write the same CSV bytes as the rows of the run."""
+        from seqcred.experiments import _row
+
+        error = _row("coverage-size:error", "zero", {}, 0.1, "error", math.nan, math.nan, 0)
+        report = dataclasses.replace(coverage_report, cells=[*coverage_report.cells, error])
+        back = read_report(write_report(report, "json", tmp_path / "r.json"))
+        a = write_report(report, "csv", tmp_path / "a.csv")
+        b = write_report(back, "csv", tmp_path / "b.csv")
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDeterminism:

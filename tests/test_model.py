@@ -281,6 +281,16 @@ class TestSimulate:
         z = np.random.default_rng(99).standard_normal(16)
         np.testing.assert_array_equal(d.x, s.coeffs + m.sigma * z)
 
+    @pytest.mark.parametrize("seed", [1.7, True])
+    def test_seed_must_be_an_integer(self, small_model, sobolev_signal, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate(small_model, sobolev_signal, seed=seed)
+
+    def test_integral_float_seed(self, small_model, sobolev_signal):
+        d = simulate(small_model, sobolev_signal, seed=3.0)
+        assert d.seed == 3 and type(d.seed) is int
+        assert d.x.tobytes() == simulate(small_model, sobolev_signal, seed=3).x.tobytes()
+
     def test_signal_longer_than_model_rejected(self, small_model):
         long_sig = generate_signal("zero", n_trunc=1024)
         with pytest.raises(ValueError, match="exceeds"):

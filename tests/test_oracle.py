@@ -245,6 +245,10 @@ class TestSigmaConstants:
         with pytest.raises(ValueError):
             sigma_constants(0.0, gamma=0.0)
 
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="K2 or K3 overflows a float at p=60"):
+            sigma_constants(60)
+
 
 class TestSigmaConditions:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
@@ -272,6 +276,13 @@ class TestSigmaConditions:
         for ell in rng.uniform(2.0, n_max, size=4000):
             lo, hi = int(math.floor(ell / 2.0)), int(math.floor(ell))
             assert c.k5 * (s[hi] - s[lo]) <= ell * 0.09 * lo**2 * (1 + 1e-9)
+
+    def test_conditions_without_region_points_hold(self):
+        """Below tau = 2^(4/3) condition (iv) has no region point: it holds
+        with margin 0."""
+        rep = verify_sigma_conditions(make_model(1.0, 0.0, 4), 3)
+        assert rep.passed
+        assert rep.margins["iv"] == 0.0
 
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,21 @@ def test_one_pass_runner():
 
 
 
+def test_only_write_report_writes_files():
+    """The CSV and the JSON report are a run's only outputs: in
+    experiments.py only write_report calls write_text or open."""
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    writers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+        in {"write_text", "open"}
+    }
+    assert writers == {"write_report"}
+
+
 def test_noise_and_tail_sums_come_from_model():
     """model.py states sigma_i^2, Sigma(I) and the tail sums once: oracle.py
     takes no cumulative sum of its own, and no module reads a second Sigma
