@@ -11,7 +11,7 @@ slack is re-verified on fresh draws every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +112,7 @@ class DefaultCenterResult:
     (1+varsigma)*radius around the center; a False here signals too small
     an MC budget or genuinely pathological data.  No warning is raised: the
     experiments count it as center_flags and ``seqcred ball`` prints it as
-    center_verified.
+    center_verified.  ``fresh_distances`` are that batch's distances.
     """
 
     center: np.ndarray
@@ -124,6 +124,7 @@ class DefaultCenterResult:
     mass_at_inflated: float
     candidates_evaluated: int
     radius_at_mean: float
+    fresh_distances: np.ndarray = field(repr=False)
 
 
 def default_center(
@@ -186,9 +187,10 @@ def default_center(
     assert best is not None
     r_star, win, center = best
 
-    # fresh draws for the honesty check of the inflated ball
-    fresh_d = np.sqrt(sample_posterior(posterior, mc_samples, rng).sq_dists(center))
-    mass = float(np.mean(fresh_d <= (1.0 + varsigma) * r_star.value))
+    # fresh draws for the honesty check of the inflated ball; freeing the search draws first keeps one batch in memory
+    del draws
+    fresh = np.sqrt(sample_posterior(posterior, mc_samples, rng).sq_dists(center))
+    mass = float(np.mean(fresh <= (1.0 + varsigma) * r_star.value))
 
     return DefaultCenterResult(
         center=pad(center, n),
@@ -200,6 +202,7 @@ def default_center(
         mass_at_inflated=mass,
         candidates_evaluated=len(tags),
         radius_at_mean=at_mean.value,
+        fresh_distances=fresh,
     )
 
 

@@ -92,9 +92,10 @@ class Replications(NamedTuple):
     """The replications of one estimator seed.
 
     gaps[rep] is the distance from the truth to the center of replication
-    rep; dists[rep] holds the distances of its fresh batch of posterior
-    draws to that center, or dists is None when the caller asked for the
-    centers only; flags counts the failed default-center verifications.
+    rep; dists[rep] holds the distances of a fresh batch of posterior draws
+    to it (under the default center, the batch that verified it), or dists
+    is None when the caller asked for the centers only; flags counts the
+    failed default-center verifications.
     """
 
     gaps: np.ndarray
@@ -127,14 +128,14 @@ def replicate(
         posterior = make_posterior(data_set(model, signal, seed_seq, rep, 0), params)
         rng = np.random.default_rng(stream(seed_seq, rep, 1))
         if center_rule == "posterior-mean":
-            center = posterior.mean()
+            center, fresh = posterior.mean(), None
         else:
             result = default_center(posterior, mc_samples=mc, seed=rng)
-            center = result.center
+            center, fresh = result.center, result.fresh_distances
             flags += not result.verified
         gaps[rep] = np.linalg.norm(theta0 - center)
         if distances:
-            dists[rep] = np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center))
+            dists[rep] = np.sqrt(sample_posterior(posterior, mc, rng).sq_dists(center)) if fresh is None else fresh
     return Replications(gaps, dists, flags)
 
 

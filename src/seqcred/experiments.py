@@ -435,13 +435,8 @@ def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params):
     """The main pass, on a spec whose inflation and size threshold are set."""
     inflation = spec.coverage_inflation
     ebr, rate, runs, radii = _coverage_reps(spec, cell_idx, signal, model, params, pilot=False)
-
-    def _freq_se(hits: np.ndarray) -> tuple[float, float]:
-        f = float(hits.mean())
-        return f, math.sqrt(f * (1.0 - f) / len(hits))
-
-    coverage, cov_se = _freq_se(runs.gaps <= inflation * radii)
-    phi2_hat, phi2_se = _freq_se(CONDITIONS["phi2"](runs, inflation * _DUALITY_DELTA * rate))
+    coverage, cov_se = map(float, mean_and_se(runs.gaps <= inflation * radii))
+    phi2_hat, phi2_se = map(float, mean_and_se(CONDITIONS["phi2"](runs, inflation * _DUALITY_DELTA * rate)))
     psi_hat, psi_se = map(float, mean_and_se(CONDITIONS["psi"](runs, _DUALITY_DELTA * rate)))
     radius_mean, radius_se = map(float, mean_and_se(radii))
     miss_bound = phi2_hat + psi_hat / (1.0 - spec.kappa)
@@ -456,7 +451,7 @@ def _cell_coverage_main(spec, cell_idx, sig_idx, signal, model, params):
     ]
     size_freqs = {}
     for c in sorted(set(map(float, spec.size_c_grid)) | {spec.size_threshold}):
-        f, se = _freq_se(radii >= c * rate)
+        f, se = map(float, mean_and_se(radii >= c * rate))
         size_freqs[repr(float(c))] = [f, se]
         stats.append(("size", repr(float(c)), f, se))
     summary = {

@@ -223,6 +223,12 @@ _REL_TOL = 1e-9
 _MAX_TERMS = 50_000_000
 
 
+def _sums_overflow(model: ModelConfig, n: int, factor: float = 1.0) -> bool:
+    """Whether eps^2 (factor (n+1))^(2p+1) / (2p+1), a bound on factor^(2p+1) Sigma(n), overflows a float."""
+    k = 2.0 * model.p + 1.0
+    return k * math.log(factor * (n + 1)) + 2.0 * math.log(model.epsilon) - math.log(k) >= math.log(np.finfo(float).max)
+
+
 def verify_sigma_conditions(
     model: ModelConfig,
     n_max: int,
@@ -249,6 +255,8 @@ def verify_sigma_conditions(
     c = sigma_constants(model.p, rho=rho, gamma=gamma, tau0=tau0)
     if not rho * n_max + n_max <= _MAX_TERMS:  # Sigma(rho*n_max), up to 2*n_max region points
         raise ValueError(f"rho={rho}, n_max={n_max} need more than {_MAX_TERMS:.0e} noise terms")
+    if _sums_overflow(model, n_max, rho + 1.0):  # bounds K2 Sigma(n_max), Sigma(rho n_max) and n_max sigma^2
+        raise ValueError(f"the noise sums at p={model.p}, n_max={n_max} overflow a float")
     top = max(int(math.floor(rho * n_max)), n_max)
     extended = make_model(model.epsilon, model.p, top)
     sig2, s = extended.sigma_sq, extended.variance_sums  # s[j] = Sigma(j)
@@ -316,7 +324,7 @@ def _geometric_series_bound(model: ModelConfig, gamma: float) -> float:
     eps2 = model.epsilon**2
     # term ratio <= e^{-gamma} (1+1/n)^{2p+1} <= e^{-gamma/2} for n >= 2(2p+1)/gamma
     n = max(1024, math.ceil(2.0 * (2.0 * model.p + 1.0) / gamma) + 1)
-    while n <= _MAX_TERMS:
+    while n <= _MAX_TERMS and not _sums_overflow(model, n):
         sums = make_model(model.epsilon, model.p, n).variance_sums[1:]
         terms = np.exp(-gamma * np.arange(1, n + 1)) * sums
         total = float(terms.sum())
@@ -325,7 +333,7 @@ def _geometric_series_bound(model: ModelConfig, gamma: float) -> float:
             q = math.exp(-gamma / 2.0)
             return total + term * q / (1.0 - q)
         n *= 2
-    raise ValueError(f"the series at gamma={gamma} needs more than {_MAX_TERMS:.0e} noise terms")
+    raise ValueError(f"the series at p={model.p}, gamma={gamma} overflows or needs over {_MAX_TERMS:.0e} noise terms")
 
 
 def _validate_radii(a: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -222,6 +223,12 @@ class DdmPosterior:
         """Posterior mean of theta under this variant."""
         return self.mean_factor * posterior_mean(self.data, self.weights)
 
+    @cached_property
+    def index_cdf(self) -> np.ndarray:
+        """CDF of the index weights, built as ``Generator.choice`` builds it from p=w."""
+        cdf = np.cumsum(self.weights.w / self.weights.w.sum())
+        return cdf / cdf[-1]
+
 
 def make_posterior(
     data: ObservedData,
@@ -261,12 +268,12 @@ def shrunk_full_bayes(data: ObservedData, params: DdmParams, i_max: int | None =
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Sampled components and coefficient vectors, one row per draw.
+    """Posterior draws: each draw's component index J and coefficient vector.
 
-    Stored compactly: row r of ``prefix`` holds the first d_max coordinates
-    of draw r, where d_max is the largest sampled index.  Coordinates beyond
-    a row's own index are exact zeros, and every draw is exactly zero beyond
-    d_max, so distances computed from the prefix are exact.
+    Stored ragged: ``values`` holds, draw after draw, the first J
+    coordinates of each draw, J its sampled index; the zeros beyond J are
+    not stored.  ``prefix`` (up to the largest index) and ``coeffs`` (all n
+    coordinates) are dense copies built on each read.
 
     Two distance routes: ``sq_dists`` measures every draw against one
     full-length center, and ``projection_sq_dists`` measures every draw
@@ -275,53 +282,66 @@ class PosteriorDraws:
     the winner from ``sq_dists``.
     """
 
-    indices: np.ndarray  # (n_draws,), 1-based component index I
-    prefix: np.ndarray  # (n_draws, d_max)
+    indices: np.ndarray  # (n_draws,), 1-based component index J
+    values: np.ndarray  # (indices.sum(),), each draw's first J coordinates in turn
     n: int  # length of a full coefficient vector
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """0-based coordinate of every entry of ``values`` (int32, below n), as reset running counts."""
+        steps = np.ones(len(self.values), dtype=np.int32)
+        steps[np.cumsum(self.indices[:-1])] = 1 - self.indices[:-1]
+        steps[0] = 0
+        return np.cumsum(steps, dtype=np.int32, out=steps)
 
     @property
     def coeffs(self) -> np.ndarray:
         """Full (n_draws, n) coefficient matrix, zero-padded on every read."""
         out = np.zeros((len(self.indices), self.n))
-        out[:, : self.prefix.shape[1]] = self.prefix
+        out[np.arange(self.n) < self.indices[:, None]] = self.values
         return out
 
+    @property
+    def prefix(self) -> np.ndarray:
+        """The first d_max columns of ``coeffs``, d_max the largest sampled index."""
+        return self.coeffs[:, : int(self.indices.max())]
+
     def sq_dists(self, center: np.ndarray) -> np.ndarray:
-        """Squared distances from every draw to a full-length center vector."""
-        d_max = self.prefix.shape[1]
-        tail_sq = float(np.sum(center[d_max:] ** 2))
-        diff = self.prefix - center[None, :d_max]
-        return np.einsum("ij,ij->i", diff, diff) + tail_sq
+        """Squared distances from every draw to a full-length center vector: a
+        segment sum over its J stored coordinates plus sum_{i>J} center_i^2."""
+        diff = center.take(self.columns) - self.values
+        np.square(diff, out=diff)
+        return np.add.reduceat(diff, np.cumsum(self.indices) - self.indices) + tail_sums(center**2)[self.indices]
 
     def projection_sq_dists(self, x: np.ndarray, levels) -> np.ndarray:
         """Squared distances from every draw to X(I) = (x_1..x_I, 0, ...),
         one row per level I, as a (len(levels), n_draws) matrix.
 
-        With d = d_max and k = min(I, d), every term is a sum of nonnegative
-        parts, so nothing cancels:
-        ||theta - X(I)||^2 = sum_{i<=k} (theta_i - x_i)^2 + sum_{k<i<=d} theta_i^2
-                             + sum_{d<i<=I} x_i^2.
-        The first two sums come from a row-wise and a reversed row-wise
-        cumulative sum sharing one (n_draws, d) buffer.  Agrees with
-        ``sq_dists`` to rounding, not bit for bit.
+        With d the largest level, the three terms of ||theta - X(I)||^2 =
+        sum_{i<=I} (theta_i - x_i)^2 + sum_{I<i<=d} theta_i^2 + sum_{i>d} theta_i^2
+        are sums of nonnegative parts, so nothing cancels.  The first two are
+        a row-wise and a reversed row-wise cumulative sum over the first d
+        coordinates, in turn, in one dense buffer refilled from ``values`` in
+        between.  Agrees with ``sq_dists`` to rounding, not bit for bit.
         """
         levels = np.asarray(levels, dtype=np.intp)
-        d = self.prefix.shape[1]
         if levels.size and not (levels.min() >= 1 and levels.max() <= len(x)):
             raise ValueError(f"levels must lie in [1, {len(x)}]")
-        k = np.minimum(levels, d)
-        buf = np.subtract(self.prefix, x[None, :d])
-        np.square(buf, out=buf)
-        np.cumsum(buf, axis=1, out=buf)
-        out = buf[:, k - 1].T.copy()
-        np.square(self.prefix[:, ::-1], out=buf)
-        np.cumsum(buf, axis=1, out=buf)
-        inner = k < d
-        out[inner] += buf[:, d - 1 - k[inner]].T
-        outer = levels > d
-        if np.any(outer):
-            beyond = np.cumsum(x[d : levels.max()] ** 2)
-            out[outer] += beyond[levels[outer] - d - 1][:, None]
+        d = int(levels.max(initial=1))
+        mask = np.arange(max(d, int(self.indices.max()))) < self.indices[:, None]
+        block = np.zeros(mask.shape)
+        block[mask] = self.values
+        past = np.einsum("ij,ij->i", block[:, d:], block[:, d:])
+        head = block[:, :d]
+        np.subtract(head, x[None, :d], out=head)
+        np.square(head, out=head)
+        np.cumsum(head, axis=1, out=head)
+        out = np.add(head[:, levels - 1].T, past, order="C")
+        head.fill(0.0)
+        block[mask] = self.values
+        np.square(head, out=head)
+        np.cumsum(head[:, ::-1], axis=1, out=head[:, ::-1])  # head[:, I] = sum_{I<i<=d} theta_i^2
+        out[levels < d] += head[:, levels[levels < d]].T
         return out
 
 
@@ -330,24 +350,21 @@ def sample_posterior(
     n_draws: int,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
 ) -> PosteriorDraws:
-    """Draw (I, theta) pairs: I from the index posterior, then theta from
-    component I.  Coordinates beyond I are exact zeros.
+    """Draw (J, theta) pairs: J from the index posterior, then theta from
+    component J.  Coordinates beyond J are exact zeros and are not stored.
 
-    The draws are built in place on the normals array, so the only matrix
-    held beside them is the boolean mask.
+    The stream reads ``random(n_draws)`` for the indices (those that
+    ``choice(i_max, n_draws, p=w)`` gives), then ``standard_normal(sum J)``.
     """
     n_draws = _integer(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(seed)
-    w = posterior.weights.w
-    indices = rng.choice(posterior.weights.i_max, size=n_draws, p=w / w.sum()) + 1
-    d_max = int(indices.max())
-    mean = posterior.mean_factor * posterior.data.x[:d_max]
-    scale = math.sqrt(posterior.params.L) * posterior.data.model.sigma[:d_max]
-    mask = np.arange(1, d_max + 1)[None, :] <= indices[:, None]
-    z = rng.standard_normal((n_draws, d_max))
-    z *= scale
-    z += mean
-    z *= mask
-    return PosteriorDraws(indices=indices, prefix=z, n=len(posterior.data))
+    indices = posterior.index_cdf.searchsorted(rng.random(n_draws), side="right") + 1
+    z = rng.standard_normal(int(indices.sum()))
+    draws = PosteriorDraws(indices=indices, values=z, n=len(posterior.data))
+    # the normals become the draws in place, each scaled and shifted by its coordinate
+    cols = draws.columns
+    z *= math.sqrt(posterior.params.L) * posterior.data.model.sigma.take(cols)
+    z += posterior.mean_factor * posterior.data.x.take(cols)
+    return draws

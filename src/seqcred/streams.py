@@ -11,9 +11,10 @@ of its stream (``seed_int``); every other consumer hands its stream to
   estimator seed   (rep, 0)                           replicate,
                                                       oversmoothing_probability and
                                                       overshrinkage: data set rep
-  estimator seed   (rep, 1)                           replicate: center search, its
-                                                      verification, then the distance
-                                                      batch, in that order
+  estimator seed   (rep, 1)                           replicate: center search, then its
+                                                      verification batch, whose distances
+                                                      are the replication's; under the
+                                                      posterior mean, the distance batch only
   signal_seed      (sig,)                             generate_signal, same at every eps
   master_seed      (cell,)                            CSV seed column; contraction,
                                                       coverage-size and overshrinkage

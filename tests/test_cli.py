@@ -9,6 +9,7 @@ for the override plumbing.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -584,6 +585,23 @@ class TestVerifyConstants:
         else:
             assert (code, out) == (1, "")
             assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "45"], "p=45.0, n_max=2000 overflow a float"),
+        (["--p", "41"], "p=41.0, n_max=2000 overflow a float"),
+        (["--p", "55", "--n-max", "3"], "series at p=55.0, gamma=0.5 overflows"),
+    ])
+    def test_noise_sums_past_a_float_end_in_a_line(self, argv, message, capsys):
+        """Noise sums that overflow a float are refused before any array is
+        built; the largest p below the bound still passes without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["verify-constants", *argv], capsys)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and message in err
+            code, out, err = run_cli(["verify-constants", "--p", "40"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sigma_conditions"]["passed"] is True
 
 
 def test_full_pipeline_through_files(tmp_path, capsys):

@@ -123,8 +123,8 @@ class TestDefaultCenter:
 
     def test_flags_when_mass_check_fails(self, params):
         """With no inflation slack the fresh-batch mass check sits right at
-        the quantile and a small budget can land below it; the result says
-        so in its fields, and no warning is raised."""
+        the quantile, so about half of the seeds land below it; the result
+        says so in its fields, and no warning is raised."""
         data = simulate(
             make_model(0.1, 0.0, 128),
             generate_signal("sobolev-boundary", {"beta": 1.0, "Q": 1.0}, n_trunc=128),
@@ -133,9 +133,9 @@ class TestDefaultCenter:
         post = make_posterior(data, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = default_center(post, varsigma=0.0, mc_samples=1000, seed=0)
-        assert not res.verified
-        assert res.mass_at_inflated < res.p_level
+            results = [default_center(post, varsigma=0.0, mc_samples=1000, seed=s) for s in range(20)]
+        assert all(res.verified == (res.mass_at_inflated >= res.p_level) for res in results)
+        assert not all(res.verified for res in results)
 
     def test_mode_candidate_labeled(self, params):
         x = np.zeros(32)

@@ -5,20 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from seqcred import diagnostics
+from seqcred import credible, diagnostics
 from seqcred import (
     DdmParams,
     ball_volume_bound,
+    default_center,
     estimate_phi1,
     estimate_phi2,
     estimate_psi,
     generate_signal,
     make_model,
+    make_posterior,
     mean_and_se,
     oversmoothing_probability,
     replicate,
+    sample_posterior,
     stream,
 )
+from seqcred.streams import data_set
 
 SMALL = dict(reps=12, inner_mc=1000, seed=31)
 
@@ -155,6 +159,35 @@ class TestReplicate:
         assert centers.dists is None
         np.testing.assert_array_equal(centers.gaps, full.gaps)
         assert centers.flags == full.flags
+
+
+    def test_default_center_distances_are_its_verification_batch(self, tiny_model, tiny_signal, params):
+        """Each replication's distances are those of the batch that verified
+        its center, so the verified mass is read from them."""
+        ss = stream(31)
+        runs = replicate(tiny_model, tiny_signal, params, "default-center", 1000, ss, reps=3)
+        for rep in range(3):
+            post = make_posterior(data_set(tiny_model, tiny_signal, ss, rep, 0), params)
+            rng = np.random.default_rng(stream(ss, rep, 1))
+            sample_posterior(post, 1000, rng)  # the center search
+            fresh = sample_posterior(post, 1000, rng)
+            res = default_center(post, mc_samples=1000, seed=stream(ss, rep, 1))
+            np.testing.assert_array_equal(runs.dists[rep], np.sqrt(fresh.sq_dists(res.center)))
+            assert res.mass_at_inflated == np.mean(runs.dists[rep] <= 1.5 * res.radius.value)
+
+    @pytest.mark.parametrize("center_rule, batches", [("default-center", 2), ("posterior-mean", 1)])
+    def test_posterior_batches_per_replication(self, tiny_model, tiny_signal, params, center_rule, batches,
+                                               monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample_posterior(*args, **kwargs)
+
+        monkeypatch.setattr(credible, "sample_posterior", counted)
+        monkeypatch.setattr(diagnostics, "sample_posterior", counted)
+        replicate(tiny_model, tiny_signal, params, center_rule, 1000, stream(31), reps=3)
+        assert len(calls) == 3 * batches
 
 
 class TestMeanAndSe:

@@ -307,6 +307,32 @@ class TestSampling:
         freq = float(np.mean(draws.indices == top + 1))
         assert freq == pytest.approx(w[top], abs=0.01)
 
+    @pytest.mark.parametrize("variant", ["mixture", "full-bayes-shrunk"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stream_is_choice_then_one_normal_per_stored_coordinate(self, small_data, params, variant, seed):
+        """The indices are the ones Generator.choice draws, and the stored
+        coordinates consume exactly sum J normals after them."""
+        post = make_posterior(small_data, params, variant=variant)
+        g = np.random.default_rng(seed)
+        draws = sample_posterior(post, 300, g)
+        ref = np.random.default_rng(seed)
+        w = post.weights.w
+        indices = ref.choice(post.weights.i_max, 300, p=w / w.sum()) + 1
+        z = ref.standard_normal(indices.sum())
+        cols = np.concatenate([np.arange(j) for j in indices])
+        want = z * (math.sqrt(params.L) * small_data.model.sigma[cols]) + post.mean_factor * small_data.x[cols]
+        np.testing.assert_array_equal(draws.indices, indices)
+        assert len(draws.values) == draws.indices.sum()
+        np.testing.assert_array_equal(draws.values, want)
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    def test_dense_views_hold_the_stored_coordinates(self, small_data, params):
+        """Entry k of ``values`` sits at coordinate ``columns[k]`` of its draw."""
+        draws = sample_posterior(make_posterior(small_data, params), 100, seed=6)
+        mask = np.arange(256) < draws.indices[:, None]
+        np.testing.assert_array_equal(draws.coeffs[mask], draws.values)
+        np.testing.assert_array_equal(draws.columns, np.nonzero(mask)[1])
+
     def test_compact_distance_helper_is_exact(self, small_data, params):
         post = make_posterior(small_data, params)
         rng = np.random.default_rng(3)
