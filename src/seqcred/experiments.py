@@ -676,10 +676,12 @@ def _cell_worker(job):
     return rows, {"cell": cell_idx, entries[:-1]: f"{name}{_params_str(params)}", "epsilon": eps, **summary}, None
 
 
-def _run_pass(spec, body, coords, n_workers: int, failed: list, phase: str) -> tuple[list, list]:
+def _run_pass(spec, body, coords, n_workers: int, failed: list, phase: str, seconds: dict) -> tuple[list, list]:
     """Run body on every cell, on a process pool when there are workers and
-    cells to share; return the rows and summaries in cell order, and append
-    a {cell, coord, phase, error} record to failed for each failing cell."""
+    cells to share; return the rows and summaries in cell order, append a
+    {cell, coord, phase, error} record to failed for each failing cell, and
+    set seconds[phase] to the pass's wall time."""
+    t0 = time.monotonic()
     jobs = [(spec, idx, coord, body) for idx, coord in enumerate(coords)]
     if n_workers > 1 and len(jobs) > 1:
         with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -692,6 +694,7 @@ def _run_pass(spec, body, coords, n_workers: int, failed: list, phase: str) -> t
         summaries.append(summary)
         if error is not None:
             failed.append({"cell": summary["cell"], "coord": list(coord), "phase": phase, "error": error})
+    seconds[phase] = time.monotonic() - t0
     return rows, summaries
 
 
@@ -709,14 +712,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     n_workers = max(1, spec.workers)
     report = ExperimentReport(spec=spec)
     failed: list = []
+    phase_seconds: dict = {}
 
     cell_spec = spec
     if spec.kind == "coverage-size":
-        cell_spec, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed)
+        cell_spec, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed, phase_seconds)
         report.summary.update(inflation_C=cell_spec.coverage_inflation, size_c=cell_spec.size_threshold,
                               pilot_cells=pilot_cells, pilot_reps=spec.pilot_reps)
 
-    report.cells, cell_summaries = _run_pass(cell_spec, _KINDS[spec.kind].cell, coords, n_workers, failed, "main")
+    report.cells, cell_summaries = _run_pass(
+        cell_spec, _KINDS[spec.kind].cell, coords, n_workers, failed, "main", phase_seconds)
     report.summary["cells"] = cell_summaries
     report.summary["failed_cells"] = failed
     ok_cells = [c for c in cell_summaries if not c.get("failed")]
@@ -725,6 +730,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     report.runtime = {
         "wall_seconds": time.monotonic() - t0,
+        "phase_seconds": phase_seconds,
         "workers": n_workers,
         "n_cells": len(coords),
     }
@@ -734,14 +740,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def _calibrate_coverage(spec, coords, n_workers, failed):
+def _calibrate_coverage(spec, coords, n_workers, failed, phase_seconds):
     """Pilot pass, whose rows are dropped: the spec with its inflation and size
     threshold set where it leaves them unset, and the successful pilot cells."""
     need_c = spec.coverage_inflation is None
     need_s = spec.size_threshold is None
     pilot_cells: list = []
     if need_c or need_s:
-        _, summaries = _run_pass(spec, _cell_coverage_pilot, coords, n_workers, failed, "pilot")
+        _, summaries = _run_pass(spec, _cell_coverage_pilot, coords, n_workers, failed, "pilot", phase_seconds)
         pilot_cells = [c for c in summaries if not c.get("failed")]
     inflation = spec.coverage_inflation
     if need_c:

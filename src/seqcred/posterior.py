@@ -266,6 +266,12 @@ def shrunk_full_bayes(data: ObservedData, params: DdmParams, i_max: int | None =
     return DdmPosterior(data=data, params=params, weights=weights, variant="full-bayes-shrunk")
 
 
+#: stored entries, or dense cells, in the largest block of draws a kernel works on
+#: at once: this bounds each float64 scratch array of the draw kernels at 512 KiB
+#: (a block holds at least one draw, so a single J above it makes a larger one)
+_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class PosteriorDraws:
     """Posterior draws: each draw's component index J and coefficient vector.
@@ -279,7 +285,11 @@ class PosteriorDraws:
     full-length center, and ``projection_sq_dists`` measures every draw
     against all the nested projection centers X(I) at once from prefix sums,
     which is how the default center ranks its candidates before reporting
-    the winner from ``sq_dists``.
+    the winner from ``sq_dists``.  Both work through the draws in row
+    blocks of at most _BLOCK stored entries or dense cells (and at least one
+    draw), so only ``values`` and ``columns`` grow with the number of stored
+    entries; each scratch array holds at most 512 KiB, or one draw's worth
+    when a single J is larger than _BLOCK.
     """
 
     indices: np.ndarray  # (n_draws,), 1-based component index J
@@ -293,6 +303,21 @@ class PosteriorDraws:
         steps[np.cumsum(self.indices[:-1])] = 1 - self.indices[:-1]
         steps[0] = 0
         return np.cumsum(steps, dtype=np.int32, out=steps)
+
+    def _blocks(self, width: int | None = None):
+        """Row ranges (r0, r1, e0, e1): draws r0..r1-1, whose entries are
+        ``values[e0:e1]``.  Each range holds at most _BLOCK stored entries,
+        or with a width at most _BLOCK cells of that width, and at least one
+        draw, even one whose J alone is larger than _BLOCK."""
+        ends = np.cumsum(self.indices)
+        m = len(ends)
+        r0 = e0 = 0
+        while r0 < m:
+            r1 = int(ends.searchsorted(e0 + _BLOCK, side="right")) if width is None else r0 + _BLOCK // width
+            r1 = min(max(r1, r0 + 1), m)
+            e1 = int(ends[r1 - 1])
+            yield r0, r1, e0, e1
+            r0, e0 = r1, e1
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -308,10 +333,19 @@ class PosteriorDraws:
 
     def sq_dists(self, center: np.ndarray) -> np.ndarray:
         """Squared distances from every draw to a full-length center vector: a
-        segment sum over its J stored coordinates plus sum_{i>J} center_i^2."""
-        diff = center.take(self.columns) - self.values
-        np.square(diff, out=diff)
-        return np.add.reduceat(diff, np.cumsum(self.indices) - self.indices) + tail_sums(center**2)[self.indices]
+        segment sum over its J stored coordinates plus sum_{i>J} center_i^2.
+
+        Works block by block (at most _BLOCK entries each); blocks hold whole
+        draws, so every segment sum is the one over all the draws at once."""
+        out = tail_sums(center**2)[self.indices]
+        cols = self.columns
+        for r0, r1, e0, e1 in self._blocks():
+            diff = center.take(cols[e0:e1])
+            np.subtract(diff, self.values[e0:e1], out=diff)
+            np.square(diff, out=diff)
+            starts = np.cumsum(self.indices[r0:r1]) - self.indices[r0:r1]
+            out[r0:r1] += np.add.reduceat(diff, starts)
+        return out
 
     def projection_sq_dists(self, x: np.ndarray, levels) -> np.ndarray:
         """Squared distances from every draw to X(I) = (x_1..x_I, 0, ...),
@@ -322,26 +356,32 @@ class PosteriorDraws:
         are sums of nonnegative parts, so nothing cancels.  The first two are
         a row-wise and a reversed row-wise cumulative sum over the first d
         coordinates, in turn, in one dense buffer refilled from ``values`` in
-        between.  Agrees with ``sq_dists`` to rounding, not bit for bit.
+        between.  The buffer holds one block of draws, at most _BLOCK cells
+        of width max(d, d_max), d_max the largest sampled index.  Agrees with
+        ``sq_dists`` to rounding, not bit for bit.
         """
         levels = np.asarray(levels, dtype=np.intp)
         if levels.size and not (levels.min() >= 1 and levels.max() <= len(x)):
             raise ValueError(f"levels must lie in [1, {len(x)}]")
         d = int(levels.max(initial=1))
-        mask = np.arange(max(d, int(self.indices.max()))) < self.indices[:, None]
-        block = np.zeros(mask.shape)
-        block[mask] = self.values
-        past = np.einsum("ij,ij->i", block[:, d:], block[:, d:])
-        head = block[:, :d]
-        np.subtract(head, x[None, :d], out=head)
-        np.square(head, out=head)
-        np.cumsum(head, axis=1, out=head)
-        out = np.add(head[:, levels - 1].T, past, order="C")
-        head.fill(0.0)
-        block[mask] = self.values
-        np.square(head, out=head)
-        np.cumsum(head[:, ::-1], axis=1, out=head[:, ::-1])  # head[:, I] = sum_{I<i<=d} theta_i^2
-        out[levels < d] += head[:, levels[levels < d]].T
+        width = max(d, int(self.indices.max()))
+        inner = levels < d
+        out = np.empty((len(levels), len(self.indices)))
+        for r0, r1, e0, e1 in self._blocks(width):
+            mask = np.arange(width) < self.indices[r0:r1, None]
+            block = np.zeros(mask.shape)
+            block[mask] = self.values[e0:e1]
+            past = np.einsum("ij,ij->i", block[:, d:], block[:, d:])
+            head = block[:, :d]
+            np.subtract(head, x[None, :d], out=head)
+            np.square(head, out=head)
+            np.cumsum(head, axis=1, out=head)
+            np.add(head[:, levels - 1].T, past, out=out[:, r0:r1])
+            head.fill(0.0)
+            block[mask] = self.values[e0:e1]
+            np.square(head, out=head)
+            np.cumsum(head[:, ::-1], axis=1, out=head[:, ::-1])  # head[:, I] = sum_{I<i<=d} theta_i^2
+            out[inner, r0:r1] += head[:, levels[inner]].T
         return out
 
 
@@ -355,6 +395,8 @@ def sample_posterior(
 
     The stream reads ``random(n_draws)`` for the indices (those that
     ``choice(i_max, n_draws, p=w)`` gives), then ``standard_normal(sum J)``.
+    The normals are scaled and shifted in place in blocks of at most _BLOCK
+    entries, so besides ``values`` and ``columns`` no array grows with sum J.
     """
     n_draws = _integer(n_draws, "n_draws")
     if n_draws < 1:
@@ -364,7 +406,12 @@ def sample_posterior(
     z = rng.standard_normal(int(indices.sum()))
     draws = PosteriorDraws(indices=indices, values=z, n=len(posterior.data))
     # the normals become the draws in place, each scaled and shifted by its coordinate
+    scale = math.sqrt(posterior.params.L) * posterior.data.model.sigma
+    shift = posterior.mean_factor * posterior.data.x
     cols = draws.columns
-    z *= math.sqrt(posterior.params.L) * posterior.data.model.sigma.take(cols)
-    z += posterior.mean_factor * posterior.data.x.take(cols)
+    for _, _, e0, e1 in draws._blocks():
+        c = cols[e0:e1]
+        block = z[e0:e1]
+        block *= scale.take(c)
+        block += shift.take(c)
     return draws

@@ -1,6 +1,7 @@
 """Credible-ball radius, default center selection, and ball membership."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +138,19 @@ class TestDefaultCenter:
         assert all(res.verified == (res.mass_at_inflated >= res.p_level) for res in results)
         assert not all(res.verified for res in results)
 
+    def test_memory_stays_within_budget(self, params):
+        """Two batches of 2000 draws at sum J = 2,048,000 each: the scratch
+        arrays are bounded blocks, so the traced peak stays within 16 bytes
+        per stored entry of one batch (its values and columns take 12)."""
+        post = make_posterior(ObservedData(x=np.ones(1024), model=make_model(0.1, 0.0, 1024), seed=None), params)
+        tracemalloc.start()
+        try:
+            default_center(post, mc_samples=2000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2_048_000
+
     def test_mode_candidate_labeled(self, params):
         x = np.zeros(32)
         x[:4] = 6.0
@@ -227,9 +241,10 @@ class TestDefaultCenterMatchesBruteForce:
     @pytest.mark.parametrize("seed", [3, 5, 7, 8])
     def test_exact_tie_goes_to_the_mean(self, small_data, params, seed):
         """Under a point-mass index posterior the mean is the mode's
-        projection center, and the earlier candidate wins the tie.  At seeds
-        5, 7 and 8 the prefix-sum radius of the projection rounds one ulp
-        below the mean's, so only the exact re-scoring keeps the mean."""
+        projection center, and the earlier candidate wins the tie.  At seed 3
+        the prefix-sum radius of the projection rounds one ulp below the
+        mean's, so only the exact re-scoring keeps the mean; at 5, 7 and 8
+        the two radii are equal."""
         res = assert_matches_brute_force(make_posterior(small_data, params, variant="eb-index"), seed)
         assert res.candidate == "posterior-mean"
 

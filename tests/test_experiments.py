@@ -198,6 +198,7 @@ class TestContractionCells:
         assert rt["n_cells"] == 1
         assert rt["workers"] == 1
         assert rt["wall_seconds"] > 0
+        assert list(rt["phase_seconds"]) == ["main"]
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +497,19 @@ class TestDeterminism:
         b = run_experiment(spec)
         pa = write_report(a, "csv", tmp_path / "a.csv")
         pb = write_report(b, "csv", tmp_path / "b.csv")
+        assert pa.read_bytes() == pb.read_bytes()
+
+    def test_phase_timings_stay_out_of_the_csv(self, coverage_report, tmp_path):
+        """The pilot and main passes are timed in the runtime record, which
+        round-trips through JSON, and a rerun of the spec writes the same CSV."""
+        again = run_experiment(coverage_report.spec)
+        phases = again.runtime["phase_seconds"]
+        assert list(phases) == ["pilot", "main"]
+        assert all(t > 0 for t in phases.values())
+        assert sum(phases.values()) <= again.runtime["wall_seconds"]
+        assert json.loads(json.dumps(again.runtime)) == again.runtime
+        pa = write_report(coverage_report, "csv", tmp_path / "a.csv")
+        pb = write_report(again, "csv", tmp_path / "b.csv")
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_master_seed_changes_results(self):

@@ -7,6 +7,7 @@ which is O(n^2) and obviously correct.  Both must agree to near machine
 precision; the acceptance run repeats the comparison at scale.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -358,6 +359,41 @@ class TestSampling:
         assert got.shape == (len(levels), 500)
         for row, i in zip(got, levels):
             np.testing.assert_allclose(row, draws.sq_dists(post.component_mean(i)), rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    def test_blocks_change_no_bit(self, params, monkeypatch, block):
+        """Draws, both distance kernels and every default-center field are
+        bit for bit the same whatever the row-block size: one draw per block,
+        blocks smaller than most draws' J, or the whole batch in one block."""
+        import seqcred.posterior as posterior_module
+        from seqcred.credible import default_center
+
+        n = 256
+        signal = generate_signal("parametric", {"N0": 3, "Q": 4.0}, n_trunc=n)
+        post = make_posterior(simulate(make_model(0.1, 1.0, n), signal, seed=17), params)
+
+        def outputs():
+            draws = sample_posterior(post, 300, seed=4)
+            d_max = int(draws.indices.max())
+            res = default_center(post, mc_samples=1000, seed=2)
+            return (
+                draws.values,
+                draws.sq_dists(post.mean()),
+                draws.projection_sq_dists(post.data.x, [1, d_max // 2, d_max]),  # levels below d_max
+                draws.projection_sq_dists(post.data.x, [2, d_max + 5, n]),  # d beyond d_max
+                *(getattr(res, f.name) for f in dataclasses.fields(res)),
+            )
+
+        want = outputs()
+        assert sample_posterior(post, 300, seed=4).indices.max() > 7  # some draw spans several entry blocks
+        monkeypatch.setattr(posterior_module, "_BLOCK", block)
+        got = outputs()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b
 
     def test_projection_distances_reject_bad_levels(self, small_data, params):
         draws = sample_posterior(make_posterior(small_data, params), 20, seed=1)
