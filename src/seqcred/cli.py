@@ -32,7 +32,7 @@ from .oracle import (
     surrogate_oracle,
     verify_sigma_conditions,
 )
-from .posterior import DdmParams, eb_index, make_posterior
+from .posterior import VARIANTS, DdmParams, eb_index, make_posterior
 from .streams import stream
 from .experiments import ExperimentSpec, default_spec, run_experiment, EXPERIMENT_KINDS
 
@@ -97,11 +97,7 @@ def _build_parser() -> _Parser:
     post.add_argument("--K", type=float, default=2.0)
     post.add_argument("--alpha", type=float, default=0.04)
     post.add_argument("--i-max", type=int, default=None)
-    post.add_argument(
-        "--variant",
-        default="mixture",
-        choices=("mixture", "eb-index", "full-bayes-shrunk"),
-    )
+    post.add_argument("--variant", default="mixture", choices=VARIANTS)
     post.add_argument("--out", default=None)
 
     ball = sub.add_parser("ball", help="default-centered credible ball")

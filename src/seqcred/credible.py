@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import pad
+from .model import _integer, pad
 from .posterior import DdmPosterior, eb_index, sample_posterior
 
 __all__ = [
@@ -96,8 +96,7 @@ def radius_at_level(
 ) -> RadiusEstimate:
     """Smallest r with posterior mass >= 1-kappa in the ball B(center, r),
     estimated from mc_samples posterior draws."""
-    if mc_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
+    mc_samples = _integer(mc_samples, "mc_samples", lo=MIN_MC_SAMPLES)
     center = pad(center, len(posterior.data))
     dists = np.sqrt(sample_posterior(posterior, mc_samples, seed).sq_dists(center))
     return radius_from_distances(dists, kappa)
@@ -152,16 +151,13 @@ def default_center(
         raise ValueError(f"p_level must lie in (0,1), got {p_level}")
     if varsigma < 0:
         raise ValueError(f"varsigma must be nonnegative, got {varsigma}")
-    if mc_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}, got {mc_samples}")
+    mc_samples = _integer(mc_samples, "mc_samples", lo=MIN_MC_SAMPLES)
     rng = np.random.default_rng(seed)
-    n = len(posterior.data)
 
     i_hat = eb_index(posterior.weights)
     live = set(np.flatnonzero(posterior.weights.w >= CANDIDATE_WEIGHT_FLOOR) + 1)
     live.add(i_hat)
     levels = sorted(live)
-    tags = ["posterior-mean"] + [f"projection-{i}" + ("(mode)" if i == i_hat else "") for i in levels]
 
     draws = sample_posterior(posterior, mc_samples, rng)
     kappa = 1.0 - p_level
@@ -186,6 +182,10 @@ def default_center(
 
     assert best is not None
     r_star, win, center = best
+    if win == 0:
+        tag = "posterior-mean"
+    else:
+        tag = f"projection-{levels[win - 1]}" + ("(mode)" if levels[win - 1] == i_hat else "")
 
     # fresh draws for the honesty check of the inflated ball; freeing the search draws first keeps one batch in memory
     del draws
@@ -193,14 +193,14 @@ def default_center(
     mass = float(np.mean(fresh <= (1.0 + varsigma) * r_star.value))
 
     return DefaultCenterResult(
-        center=pad(center, n),
+        center=center,
         radius=r_star,
-        candidate=tags[win],
+        candidate=tag,
         p_level=p_level,
         varsigma=varsigma,
         verified=mass >= p_level,
         mass_at_inflated=mass,
-        candidates_evaluated=len(tags),
+        candidates_evaluated=1 + len(levels),
         radius_at_mean=at_mean.value,
         fresh_distances=fresh,
     )

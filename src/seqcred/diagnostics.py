@@ -80,9 +80,7 @@ def check_estimator_args(center_rule: str, reps: int, inner_mc: int) -> tuple[in
     return the two counts as ints."""
     if center_rule not in CENTER_RULES:
         raise ValueError(f"center_rule must be one of {CENTER_RULES}, got {center_rule!r}")
-    reps, inner_mc = _integer(reps, "reps"), _integer(inner_mc, "inner_mc")
-    if reps < 1 or inner_mc < 1:
-        raise ValueError("reps and inner_mc must be positive")
+    reps, inner_mc = _integer(reps, "reps", lo=1), _integer(inner_mc, "inner_mc", lo=1)
     if center_rule == "default-center" and inner_mc < MIN_MC_SAMPLES:
         raise ValueError(f"the default center needs inner_mc >= {MIN_MC_SAMPLES}, got {inner_mc}")
     return reps, inner_mc
@@ -275,9 +273,7 @@ def oversmoothing_probability(
         raise ValueError(
             f"kappa_frac must lie in [0, {kappa_zero:.6f}), got {kappa_frac}"
         )
-    reps = _integer(reps, "reps")
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    reps = _integer(reps, "reps", lo=1)
     ss = stream(seed)
     i_bar = surrogate_oracle(signal, model).i_bar
     cutoff = math.floor(kappa_frac * i_bar)
@@ -313,9 +309,7 @@ class BallVolume:
 def ball_volume_bound(k: int, r: float) -> BallVolume:
     """Logs of the Stirling-type upper bound e pi^{-1/2} r^k k^{-(k+1)/2}
     (2 pi e)^{k/2} and of the exact volume r^k pi^{k/2} / Gamma(1 + k/2)."""
-    k = _integer(k, "dimension k")
-    if k < 1:
-        raise ValueError(f"dimension k must be a positive integer, got {k}")
+    k = _integer(k, "dimension k", lo=1)
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     log_r = math.log(r)

@@ -38,7 +38,7 @@ from .credible import radius_from_distances
 from .diagnostics import CONDITIONS, check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
 from .model import Signal, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
-from .posterior import DdmParams, mixture_weights, posterior_mean, shrunk_full_bayes
+from .posterior import DdmParams, make_posterior, mixture_weights, posterior_mean
 from .streams import PILOT_KEY, SIGNAL_KEY, data_set, seed_int, stream
 
 __all__ = [
@@ -489,7 +489,7 @@ def _cell_overshrinkage(spec, cell_idx, sig_idx, signal, model, params):
     for rep in range(spec.reps):
         data = data_set(model, signal, stream(spec.master_seed, cell_idx), rep, 0)
         mix = posterior_mean(data, mixture_weights(data, params))[head][live]
-        shr = shrunk_full_bayes(data, params).mean()[head][live]
+        shr = make_posterior(data, params, variant="full-bayes-shrunk").mean()[head][live]
         rel[rep, 0] = np.max(np.abs(mix - t_head) / np.abs(t_head))
         rel[rep, 1] = np.max(np.abs(shr - L * t_head) / np.abs(L * t_head))
         rel[rep, 2] = np.max(np.abs(mix - L * t_head) / np.abs(L * t_head))

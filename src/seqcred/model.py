@@ -93,13 +93,11 @@ class ModelConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         object.__setattr__(self, "p", _real(self.p, "p"))
-        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc"))
+        object.__setattr__(self, "n_trunc", _integer(self.n_trunc, "n_trunc", lo=1))
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.p >= 0 and math.isfinite(self.p)):
             raise ValueError(f"p must be nonnegative and finite, got {self.p}")
-        if self.n_trunc < 1:
-            raise ValueError(f"n_trunc must be a positive integer, got {self.n_trunc}")
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -175,15 +173,21 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _integer(value: Any, name: str) -> int:
-    """An int, a numpy integer or an integral float as an int; a bool, a
-    string or a fraction is a ValueError naming the field, never truncated."""
+def _integer(value: Any, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """An int, a numpy integer or an integral float as an int, checked to be
+    >= lo, or in [lo, hi] when hi is given too; a bool, a string, a fraction
+    or a value out of range is a ValueError naming the field, never truncated."""
     try:
         ok = int(value) == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         ok = False
     _require(ok, f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if hi is not None:
+        _require(lo <= value <= hi, f"{name} must be in [{lo}, {hi}], got {value}")
+    elif lo is not None:
+        _require(value >= lo, f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def _real(value: Any, name: str) -> float:
@@ -235,8 +239,7 @@ def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[
         _require(c > 0 and d > 0, f"c and d must be positive, got c={c}, d={d}")
         return np.sqrt(q * np.exp(-c * i**d)), {"c": c, "d": d, "Q": q}
     if family == "parametric":
-        n0 = _param(params, "N0", 1, int)
-        _require(1 <= n0 <= n_trunc, f"N0 must be in [1, {n_trunc}], got {n0}")
+        n0 = _integer(_param(params, "N0", 1, int), "N0", 1, n_trunc)
         a = np.zeros(n_trunc)
         a[:n0] = math.sqrt(q)
         return a, {"Q": q, "N0": n0}
@@ -272,8 +275,7 @@ def generate_signal(
     params = {} if params is None else params
     _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
     params = dict(params)
-    n_trunc = _integer(n_trunc, "n_trunc")
-    _require(n_trunc >= 1, f"n_trunc must be a positive integer, got {n_trunc}")
+    n_trunc = _integer(n_trunc, "n_trunc", lo=1)
 
     if kind == "zero":
         return Signal(np.zeros(n_trunc), kind, {})
@@ -284,10 +286,8 @@ def generate_signal(
         return Signal(coeffs, kind, parsed)
 
     if kind == "deceptive":
-        eps = _param(params, "epsilon")
-        p = _param(params, "p", 0.0)
-        _require(eps > 0, f"epsilon must be positive, got {eps}")
-        _require(p >= 0, f"p must be nonnegative, got {p}")
+        model = make_model(_param(params, "epsilon"), _param(params, "p", 0.0), n_trunc)
+        eps, p = model.epsilon, model.p
         j0 = math.ceil(2.0 / eps ** (2.0 / (2.0 * p + 1.0)))
         if j0 > n_trunc:
             raise ValueError(
@@ -300,7 +300,6 @@ def generate_signal(
         # name "oracle" to a function of the same name.
         from .oracle import ebr_check
 
-        model = make_model(eps, p, n_trunc)
         for j in range(j0, n_trunc + 1):
             mass = 10.0 * eps**2 * float(j) ** (2.0 * p)
             coeffs = np.zeros(n_trunc)

@@ -141,13 +141,12 @@ def pt_check(signal: Signal, L0: float, N0: int, rho0: float) -> bool:
     energy in the window [N, floor(rho0*N)], for every N0 <= N <= len(signal)."""
     if not L0 >= 1:
         raise ValueError(f"L0 must be >= 1, got {L0}")
-    if not _integer(N0, "N0") >= 1:
-        raise ValueError(f"N0 must be a positive integer, got {N0}")
+    N0 = _integer(N0, "N0", lo=1)
     if not rho0 >= 2:
         raise ValueError(f"rho0 must be >= 2, got {rho0}")
     n = len(signal)
     tail = tail_sums(signal.coeffs**2)  # tail[N - 1] = sum_{i >= N}
-    start = np.arange(int(N0), n + 1)
+    start = np.arange(N0, n + 1)
     hi = np.minimum(np.floor(rho0 * start), n).astype(int)
     return bool(np.all(tail[start - 1] <= L0 * (tail[start - 1] - tail[hi])))
 
@@ -249,9 +248,7 @@ def verify_sigma_conditions(
     A violation indicates an implementation bug, since the constants are
     proven for this noise shape.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _integer(n_max, "n_max", lo=1)
     c = sigma_constants(model.p, rho=rho, gamma=gamma, tau0=tau0)
     if not rho * n_max + n_max <= _MAX_TERMS:  # Sigma(rho*n_max), up to 2*n_max region points
         raise ValueError(f"rho={rho}, n_max={n_max} need more than {_MAX_TERMS:.0e} noise terms")
@@ -466,9 +463,7 @@ def covers_check(
     N_lambda is the last index with lambda_i >= 1/2.  Both inequalities are
     exact, so no tolerance is applied.
     """
-    n_samples = _integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _integer(n_samples, "n_samples", lo=1)
     rng = np.random.default_rng(seed)
     a = _padded_radii(cls, model)
     n = model.n_trunc

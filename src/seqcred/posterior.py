@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -31,10 +30,12 @@ __all__ = [
     "posterior_mean",
     "make_posterior",
     "sample_posterior",
-    "shrunk_full_bayes",
+    "VARIANTS",
 ]
 
-Variant = Literal["mixture", "eb-index", "full-bayes-shrunk"]
+#: the posteriors make_posterior builds: the DDM mixture, its plug-in at the
+#: posterior mode, and the zero-centred full-Bayes contrast
+VARIANTS = ("mixture", "eb-index", "full-bayes-shrunk")
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,11 @@ class MixtureWeights:
     """Normalized posterior probabilities over I = 1..i_max, in log space."""
 
     log_w: np.ndarray
-    i_max: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.log_w, dtype=float)
-        if arr.shape != (self.i_max,):
-            raise ValueError(f"log_w must have shape ({self.i_max},), got {arr.shape}")
+        if arr.ndim != 1:
+            raise ValueError(f"log_w must be one-dimensional, got shape {arr.shape}")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "log_w", arr)
@@ -127,7 +127,11 @@ class MixtureWeights:
     @classmethod
     def from_unnormalized(cls, log_u: np.ndarray) -> "MixtureWeights":
         log_u = np.asarray(log_u, dtype=float)
-        return cls(log_w=log_u - _logsumexp(log_u), i_max=len(log_u))
+        return cls(log_w=log_u - _logsumexp(log_u))
+
+    @property
+    def i_max(self) -> int:
+        return len(self.log_w)
 
     @property
     def w(self) -> np.ndarray:
@@ -157,10 +161,7 @@ def _increments(data: ObservedData, params: DdmParams, i_max: int, shrunk: bool)
 def _index_weights(data: ObservedData, params: DdmParams, i_max: int | None, shrunk: bool) -> MixtureWeights:
     """Index weights over I = 1..i_max (all of the data when None): the
     increments cumulated from log u_1 = 0, then normalized."""
-    n = len(data)
-    i_max = n if i_max is None else _integer(i_max, "i_max")
-    if not (1 <= i_max <= n):
-        raise ValueError(f"i_max must be in [1, {n}], got {i_max}")
+    i_max = len(data) if i_max is None else _integer(i_max, "i_max", 1, len(data))
     inc = _increments(data, params, i_max, shrunk)
     return MixtureWeights.from_unnormalized(np.concatenate(([0.0], np.cumsum(inc))))
 
@@ -188,9 +189,7 @@ def crit(data: ObservedData, params: DdmParams, i: int) -> float:
     criterion is that one times eps^2 at p = 0, so only there is its
     minimizer the mode; it is computable for any p.
     """
-    i = _integer(i, "I")
-    if not (1 <= i <= len(data)):
-        raise ValueError(f"I must be in [1, {len(data)}], got {i}")
+    i = _integer(i, "I", 1, len(data))
     x = data.x
     return float(-np.sum(x[:i] ** 2) + params.penalty * data.model.epsilon**2 * i)
 
@@ -205,18 +204,12 @@ class DdmPosterior:
     data: ObservedData
     params: DdmParams
     weights: MixtureWeights
-    variant: Variant = "mixture"
-
-    @property
-    def mean_factor(self) -> float:
-        """Component means are mean_factor * X_i 1{i<=I}."""
-        return self.params.L if self.variant == "full-bayes-shrunk" else 1.0
+    #: component means are mean_factor * X_i 1{i<=I}
+    mean_factor: float = 1.0
 
     def component_mean(self, i: int) -> np.ndarray:
         """Mean vector of component I (zero beyond I)."""
-        i = _integer(i, "I")
-        if not (1 <= i <= len(self.data)):
-            raise ValueError(f"I must be in [1, {len(self.data)}], got {i}")
+        i = _integer(i, "I", 1, len(self.data))
         return pad(self.mean_factor * self.data.x[:i], len(self.data))
 
     def mean(self) -> np.ndarray:
@@ -234,36 +227,27 @@ def make_posterior(
     data: ObservedData,
     params: DdmParams,
     i_max: int | None = None,
-    variant: Variant = "mixture",
+    variant: str = "mixture",
 ) -> DdmPosterior:
-    """Assemble a posterior object in one of the three variants.
+    """The posterior of one of the VARIANTS, the only builder of a DdmPosterior.
 
     ``mixture`` carries the full index distribution; ``eb-index`` collapses
     it to a point mass at the smallest posterior mode; ``full-bayes-shrunk``
-    uses the zero-mean marginal weights and components shrunk by L.
+    is the full-Bayes posterior with zero prior means, kept as a contrast:
+    zero-mean marginal weights and components N(L X_i 1{i<=I}, L sigma_i^2
+    1{i<=I}), so its mean tracks L*theta rather than theta.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant == "full-bayes-shrunk":
-        return shrunk_full_bayes(data, params, i_max)
-    weights = mixture_weights(data, params, i_max)
+        weights, factor = _index_weights(data, params, i_max, shrunk=True), params.L
+    else:
+        weights, factor = mixture_weights(data, params, i_max), 1.0
     if variant == "eb-index":
-        i_hat = eb_index(weights)
         log_w = np.full(weights.i_max, -np.inf)
-        log_w[i_hat - 1] = 0.0
-        weights = MixtureWeights(log_w=log_w, i_max=weights.i_max)
-    elif variant != "mixture":
-        raise ValueError(f"unknown variant {variant!r}")
-    return DdmPosterior(data=data, params=params, weights=weights, variant=variant)
-
-
-def shrunk_full_bayes(data: ObservedData, params: DdmParams, i_max: int | None = None) -> DdmPosterior:
-    """Full-Bayes posterior with zero prior means: same index marginal shape
-    but components N(L X_i 1{i<=I}, L sigma_i^2 1{i<=I}).
-
-    Kept as a contrast object: its posterior mean tracks L*theta rather
-    than theta (the over-shrinkage effect of centering the prior at zero).
-    """
-    weights = _index_weights(data, params, i_max, shrunk=True)
-    return DdmPosterior(data=data, params=params, weights=weights, variant="full-bayes-shrunk")
+        log_w[eb_index(weights) - 1] = 0.0
+        weights = MixtureWeights(log_w)
+    return DdmPosterior(data=data, params=params, weights=weights, mean_factor=factor)
 
 
 #: stored entries, or dense cells, in the largest block of draws a kernel works on
@@ -278,8 +262,8 @@ class PosteriorDraws:
 
     Stored ragged: ``values`` holds, draw after draw, the first J
     coordinates of each draw, J its sampled index; the zeros beyond J are
-    not stored.  ``prefix`` (up to the largest index) and ``coeffs`` (all n
-    coordinates) are dense copies built on each read.
+    not stored.  ``coeffs`` (all n coordinates) is a dense copy built on
+    each read.
 
     Two distance routes: ``sq_dists`` measures every draw against one
     full-length center, and ``projection_sq_dists`` measures every draw
@@ -325,11 +309,6 @@ class PosteriorDraws:
         out = np.zeros((len(self.indices), self.n))
         out[np.arange(self.n) < self.indices[:, None]] = self.values
         return out
-
-    @property
-    def prefix(self) -> np.ndarray:
-        """The first d_max columns of ``coeffs``, d_max the largest sampled index."""
-        return self.coeffs[:, : int(self.indices.max())]
 
     def sq_dists(self, center: np.ndarray) -> np.ndarray:
         """Squared distances from every draw to a full-length center vector: a
@@ -398,9 +377,7 @@ def sample_posterior(
     The normals are scaled and shifted in place in blocks of at most _BLOCK
     entries, so besides ``values`` and ``columns`` no array grows with sum J.
     """
-    n_draws = _integer(n_draws, "n_draws")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _integer(n_draws, "n_draws", lo=1)
     rng = np.random.default_rng(seed)
     indices = posterior.index_cdf.searchsorted(rng.random(n_draws), side="right") + 1
     z = rng.standard_normal(int(indices.sum()))

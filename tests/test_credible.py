@@ -93,6 +93,11 @@ class TestRadiusAtLevel:
         with pytest.raises(ValueError, match="mc_samples"):
             radius_at_level(post, post.mean(), kappa=0.5, mc_samples=500, seed=1)
 
+    def test_fractional_budget_names_mc_samples(self, small_data, params):
+        post = make_posterior(small_data, params)
+        with pytest.raises(ValueError, match="mc_samples must be an integer, got 1500.5"):
+            radius_at_level(post, post.mean(), kappa=0.5, mc_samples=1500.5, seed=1)
+
     def test_short_center_zero_padded(self, small_data, params):
         post = make_posterior(small_data, params)
         full = radius_at_level(post, np.zeros(256), kappa=0.5, mc_samples=1000, seed=2)
@@ -169,6 +174,11 @@ class TestDefaultCenter:
         post = make_posterior(small_data, params)
         with pytest.raises(ValueError):
             default_center(post, **kwargs)
+
+    def test_fractional_budget_names_mc_samples(self, small_data, params):
+        post = make_posterior(small_data, params)
+        with pytest.raises(ValueError, match="mc_samples must be an integer, got 1500.5"):
+            default_center(post, mc_samples=1500.5, seed=1)
 
 
 def brute_force_default_center(post, mc_samples, seed, p_level=2.0 / 3.0, varsigma=0.5):

@@ -21,6 +21,7 @@ from seqcred import (
     simulate,
     tail_sums,
 )
+from seqcred.model import _integer
 
 
 class TestModelConfig:
@@ -234,8 +235,15 @@ class TestParameterParsing:
         ("parametric", {"N0": True}, "parameter 'N0' must be an integer, got True"),
         ("sobolev-boundary", {"beta": "1.5"}, "parameter 'beta' must be a number, got '1.5'"),
         ("sobolev-boundary", {"Q": True}, "parameter 'Q' must be a number, got True"),
+        ("deceptive", {"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
+        ("deceptive", {"epsilon": -0.1}, "epsilon must be positive and finite, got -0.1"),
+        ("deceptive", {"epsilon": math.nan}, "epsilon must be positive and finite, got nan"),
+        ("deceptive", {"epsilon": math.inf}, "epsilon must be positive and finite, got inf"),
+        ("deceptive", {"epsilon": 0.5, "p": -1}, "p must be nonnegative and finite, got -1.0"),
+        ("deceptive", {"epsilon": 0.5, "p": math.inf}, "p must be nonnegative and finite, got inf"),
     ], ids=["null-beta", "string-c", "inf-N0", "nan-N0", "no-epsilon", "dict-coeffs", "list-params",
-            "fractional-N0", "bool-N0", "string-beta", "bool-Q"])
+            "fractional-N0", "bool-N0", "string-beta", "bool-Q", "zero-epsilon", "negative-epsilon",
+            "nan-epsilon", "inf-epsilon", "negative-p", "inf-p"])
     def test_bad_params_raise_value_error_naming_the_field(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             generate_signal(kind, params, n_trunc=16)
@@ -243,6 +251,33 @@ class TestParameterParsing:
     @pytest.mark.parametrize("n0", [3, 3.0, np.int64(3)])
     def test_integral_N0_kept(self, n0):
         assert generate_signal("parametric", {"N0": n0}, n_trunc=16).params["N0"] == 3
+
+
+class TestIntegerRange:
+    """_integer is the one range rule for counts and indices."""
+
+    @pytest.mark.parametrize("value", [1, 5, 5.0, np.int64(5), 9, 9.0, np.int64(9)])
+    def test_in_range_kept(self, value):
+        assert _integer(value, "count", lo=1) == int(value)
+        assert _integer(value, "index", 1, 9) == int(value)
+        assert type(_integer(value, "index", 1, 9)) is int
+
+    @pytest.mark.parametrize("value, lo, hi, message", [
+        (0, 1, None, "count must be >= 1, got 0"),
+        (-3.0, 1, None, "count must be >= 1, got -3"),
+        (np.int64(999), 1000, None, "count must be >= 1000, got 999"),
+        (0, 1, 9, "count must be in [1, 9], got 0"),
+        (10, 1, 9, "count must be in [1, 9], got 10"),
+        (np.int64(10), 1, 9, "count must be in [1, 9], got 10"),
+    ])
+    def test_out_of_range_names_the_field(self, value, lo, hi, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _integer(value, "count", lo, hi)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None, math.nan, math.inf])
+    def test_non_integers_refused_before_the_range(self, value):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            _integer(value, "count", 1, 9)
 
 
 class TestObservedData:

@@ -175,3 +175,24 @@ def test_noise_and_tail_sums_come_from_model():
         if any(isinstance(node, ast.Attribute) and node.attr == "variance_sum" for node in ast.walk(tree))
     ]
     assert readers == []
+
+
+def test_make_posterior_is_the_one_posterior_builder():
+    """Every DdmPosterior, of whichever variant, comes from make_posterior."""
+    builders = {
+        (path.name, getattr(top, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DdmPosterior"
+    }
+    assert builders == {("posterior.py", "make_posterior")}
+
+
+def test_cli_variants_are_the_posterior_variants():
+    from seqcred.cli import _build_parser
+    from seqcred.posterior import VARIANTS
+
+    sub = next(a for a in _build_parser()._actions if a.choices and "posterior" in a.choices)
+    variant = next(a for a in sub.choices["posterior"]._actions if a.dest == "variant")
+    assert tuple(variant.choices) == VARIANTS

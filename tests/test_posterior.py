@@ -8,6 +8,7 @@ precision; the acceptance run repeats the comparison at scale.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from seqcred import (
+    VARIANTS,
     DdmParams,
     MixtureWeights,
     crit,
@@ -28,7 +30,6 @@ from seqcred import (
     mixture_weights,
     posterior_mean,
     sample_posterior,
-    shrunk_full_bayes,
     simulate,
 )
 from seqcred.experiments import default_spec, run_experiment
@@ -117,7 +118,7 @@ class TestWeights:
             mixture_weights(small_data, params, i_max=0)
         with pytest.raises(ValueError):
             mixture_weights(small_data, params, i_max=257)
-        for build in (mixture_weights, make_posterior, shrunk_full_bayes):
+        for build in [mixture_weights] + [functools.partial(make_posterior, variant=v) for v in VARIANTS]:
             for bad in (2.5, True):
                 with pytest.raises(ValueError, match="i_max must be an integer"):
                     build(small_data, params, i_max=bad)
@@ -126,7 +127,7 @@ class TestWeights:
     def test_integral_i_max_kept(self, small_data, params, i_max):
         assert mixture_weights(small_data, params, i_max=i_max).i_max == 3
         assert make_posterior(small_data, params, i_max=i_max).weights.i_max == 3
-        assert shrunk_full_bayes(small_data, params, i_max=i_max).weights.i_max == 3
+        assert make_posterior(small_data, params, i_max=i_max, variant="full-bayes-shrunk").weights.i_max == 3
 
     def test_tail_weights(self, small_data, params):
         w = mixture_weights(small_data, params, i_max=20)
@@ -137,8 +138,9 @@ class TestWeights:
         assert np.all(np.diff(t) <= 1e-15)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            MixtureWeights(log_w=np.zeros(3), i_max=4)
+        assert MixtureWeights(log_w=np.zeros(3)).i_max == 3
+        with pytest.raises(ValueError, match="log_w must be one-dimensional"):
+            MixtureWeights(log_w=np.zeros((2, 3)))
 
     def test_big_signal_pushes_weight_out(self, params):
         x = np.zeros(30)
@@ -176,7 +178,7 @@ class TestLogSumExp:
 class TestEbIndexAndCrit:
     def test_eb_index_is_smallest_mode(self):
         log_w = np.log(np.array([0.1, 0.35, 0.1, 0.35, 0.1]))
-        assert eb_index(MixtureWeights(log_w=log_w, i_max=5)) == 2
+        assert eb_index(MixtureWeights(log_w=log_w)) == 2
 
     def test_matches_penalized_criterion_direct_case(self, params):
         """At p = 0 the smallest posterior mode minimizes the projection
@@ -238,7 +240,7 @@ class TestShrunkVariant:
     def test_weights_match_zero_mean_marginals(self, params):
         for x in rng_datasets(6, 50, scale=0.4, entropy=777):
             data = observed(x, eps=0.1, p=1.0)
-            post = shrunk_full_bayes(data, params)
+            post = make_posterior(data, params, variant="full-bayes-shrunk")
             ref = direct_log_weights(data, params, 50, shrunk=True)
             np.testing.assert_allclose(np.exp(post.weights.log_w), np.exp(ref), rtol=1e-10)
 
@@ -251,12 +253,12 @@ class TestShrunkVariant:
         model = make_model(0.001, 0.0, n)
         data = simulate(model, generate_signal("custom", {"coeffs": theta}, n_trunc=n), seed=4)
         mix = make_posterior(data, params).mean()
-        shr = shrunk_full_bayes(data, params).mean()
+        shr = make_posterior(data, params, variant="full-bayes-shrunk").mean()
         np.testing.assert_allclose(mix[:5], theta[:5], rtol=1e-3)
         np.testing.assert_allclose(shr[:5], params.L * theta[:5], rtol=1e-3)
 
     def test_mean_factor(self, small_data, params):
-        assert shrunk_full_bayes(small_data, params).mean_factor == params.L
+        assert make_posterior(small_data, params, variant="full-bayes-shrunk").mean_factor == params.L
         assert make_posterior(small_data, params).mean_factor == 1.0
 
 
@@ -338,7 +340,7 @@ class TestSampling:
         post = make_posterior(small_data, params)
         rng = np.random.default_rng(3)
         draws = sample_posterior(post, 40, rng)
-        assert draws.prefix.shape == (40, draws.indices.max())
+        assert not draws.coeffs[:, draws.indices.max():].any()
         center = rng.standard_normal(256)
         want = np.sum((draws.coeffs - center[None, :]) ** 2, axis=1)
         np.testing.assert_allclose(draws.sq_dists(center), want, rtol=1e-12)
@@ -353,7 +355,7 @@ class TestSampling:
         signal = generate_signal("parametric", {"N0": 3, "Q": 4.0}, n_trunc=n)
         post = make_posterior(simulate(model, signal, seed=17), params, variant=variant)
         draws = sample_posterior(post, 500, seed=4)
-        d_max = draws.prefix.shape[1]
+        d_max = int(draws.indices.max())
         levels = sorted({1, max(1, d_max // 2), d_max, min(n, d_max + 1), n})
         got = draws.projection_sq_dists(post.mean_factor * post.data.x, levels)
         assert got.shape == (len(levels), 500)
@@ -421,7 +423,7 @@ class TestGrowingNoise:
         log_w = []
         for p in (0.0, 0.5, 1.0, 2.0):
             data = observed(make_model(0.1, p, 512).sigma * z, eps=0.1, p=p)
-            post = shrunk_full_bayes(data, params) if shrunk else make_posterior(data, params)
+            post = make_posterior(data, params, variant="full-bayes-shrunk" if shrunk else "mixture")
             log_w.append(post.weights.log_w)
         for other in log_w[1:]:
             np.testing.assert_allclose(other, log_w[0], rtol=0.0, atol=1e-12)
