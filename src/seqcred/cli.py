@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .credible import default_center, make_confidence_ball, radius_at_level
 from .diagnostics import ball_volume_bound
-from .model import ObservedData, Signal, generate_signal, make_model, simulate
+from .model import ObservedData, Signal, _json_object, generate_signal, make_model, simulate
 from .oracle import (
     ebr_check,
     oracle,
@@ -67,12 +67,7 @@ def _observed_to_dict(data: ObservedData) -> dict:
 
 
 def _observed_from_file(path: str) -> ObservedData:
-    d = json.loads(Path(path).read_text())
-    if not isinstance(d, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {type(d).__name__}")
-    missing = [key for key in ("x", "epsilon", "p", "n_trunc") if key not in d]
-    if missing:
-        raise ValueError(f"{path} lacks field(s) {missing}")
+    d = _json_object(json.loads(Path(path).read_text()), path, ("x", "epsilon", "p", "n_trunc"))
     model = make_model(d["epsilon"], d["p"], d["n_trunc"])
     return ObservedData(x=d["x"], model=model, seed=d.get("seed"))
 
@@ -94,16 +89,16 @@ def _build_parser() -> _Parser:
 
     post = sub.add_parser("posterior", help="index weights and posterior mean")
     post.add_argument("--data", required=True, help="JSON file written by simulate")
-    post.add_argument("--K", type=float, default=2.0)
-    post.add_argument("--alpha", type=float, default=0.04)
+    post.add_argument("--K", type=float, default=DdmParams.K)
+    post.add_argument("--alpha", type=float, default=DdmParams.alpha)
     post.add_argument("--i-max", type=int, default=None)
     post.add_argument("--variant", default="mixture", choices=VARIANTS)
     post.add_argument("--out", default=None)
 
     ball = sub.add_parser("ball", help="default-centered credible ball")
     ball.add_argument("--data", required=True)
-    ball.add_argument("--K", type=float, default=2.0)
-    ball.add_argument("--alpha", type=float, default=0.04)
+    ball.add_argument("--K", type=float, default=DdmParams.K)
+    ball.add_argument("--alpha", type=float, default=DdmParams.alpha)
     ball.add_argument("--kappa", type=float, default=0.5)
     ball.add_argument("--mc", type=int, default=2000)
     ball.add_argument("--inflation", type=float, default=1.0, help="radius multiplier M")
@@ -135,8 +130,8 @@ def _build_parser() -> _Parser:
     ver.add_argument("--rho", type=float, default=2.0)
     ver.add_argument("--gamma", type=float, default=0.5)
     ver.add_argument("--tau0", type=float, default=2.0)
-    ver.add_argument("--K", type=float, default=2.0)
-    ver.add_argument("--alpha", type=float, default=0.04)
+    ver.add_argument("--K", type=float, default=DdmParams.K)
+    ver.add_argument("--alpha", type=float, default=DdmParams.alpha)
     ver.add_argument("--out", default=None)
 
     return parser

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _integer, pad
+from .model import _frozen, _integer, pad
 from .posterior import DdmPosterior, eb_index, sample_posterior
 
 __all__ = [
@@ -220,9 +220,7 @@ class CredibleBall:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         if self.inflation < 0:
             raise ValueError(f"inflation must be nonnegative, got {self.inflation}")
-        arr = np.ascontiguousarray(np.asarray(self.center, dtype=float))
-        arr.flags.writeable = False
-        object.__setattr__(self, "center", arr)
+        object.__setattr__(self, "center", _frozen(self.center, "center"))
 
     @property
     def effective_radius(self) -> float:
@@ -252,4 +250,4 @@ def make_confidence_ball(
     else:
         value = float(radius_estimate)
         level = math.nan
-    return CredibleBall(center=np.asarray(center, dtype=float), radius=value, level=level, inflation=float(M))
+    return CredibleBall(center=center, radius=value, level=level, inflation=float(M))

@@ -200,8 +200,8 @@ def estimate_phi2(
     params: DdmParams,
     center_rule: str = "default-center",
     reps: int = 500,
-    seed: int | np.random.SeedSequence | None = None,
     inner_mc: int = 2000,
+    seed: int | np.random.SeedSequence | None = None,
 ) -> ConditionEstimate:
     """Frequency of the data-driven center missing the truth by at least
     M * oracle-rate.  Purely an outer Monte Carlo; inner draws are spent

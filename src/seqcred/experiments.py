@@ -36,7 +36,7 @@ import numpy as np
 
 from .credible import radius_from_distances
 from .diagnostics import CONDITIONS, check_estimator_args, estimate_phi1, estimate_psi, mean_and_se, replicate
-from .model import Signal, generate_signal, make_model
+from .model import Signal, _json_object, generate_signal, make_model
 from .oracle import covers_check, ebr_check, oracle, scale_class, surrogate_oracle
 from .posterior import DdmParams, make_posterior, mixture_weights, posterior_mean
 from .streams import PILOT_KEY, SIGNAL_KEY, data_set, seed_int, stream
@@ -107,8 +107,8 @@ class ExperimentSpec:
     eps_grid: tuple[float, ...] = (0.1,)
     p: float = 0.0
     n_trunc: int = 1024
-    K: float = 2.0
-    alpha: float = 0.04
+    K: float = DdmParams.K
+    alpha: float = DdmParams.alpha
     kappa: float = 0.5
     tau_ebr: float = 2.0
     m_grid: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
@@ -133,7 +133,8 @@ class ExperimentSpec:
             if f.type.startswith("tuple["):
                 if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
                     raise ValueError(f"{f.name} must be a list, got {value!r}")
-                value = tuple(value)
+                # the spec's own copy, sharing no dict with the caller or a default panel
+                value = copy.deepcopy(tuple(value))
                 object.__setattr__(self, f.name, value)
             check, message = _FIELD_CHECKS[f.type]
             if not check(value):
@@ -176,16 +177,11 @@ class ExperimentSpec:
         for f in fields(self):
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return copy.deepcopy(out)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"a spec must be a JSON object, got {type(d).__name__}")
-        if "kind" not in d:
-            raise ValueError("spec lacks field 'kind'")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        unknown = set(_json_object(d, "a spec", ("kind",))) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         return cls(**d)
@@ -215,11 +211,7 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        if not isinstance(d, dict):
-            raise ValueError(f"a report must be a JSON object, got {type(d).__name__}")
-        missing = [f.name for f in fields(cls) if f.name not in d]
-        if missing:
-            raise ValueError(f"report lacks field(s) {missing}")
+        _json_object(d, "a report", [f.name for f in fields(cls)])
         return cls(
             spec=ExperimentSpec.from_dict(d["spec"]),
             cells=list(d["cells"]),

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -46,18 +46,24 @@ SIGNAL_KINDS = (
 )
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
+def _frozen(value: Any, name: str) -> np.ndarray:
+    """A read-only float copy of value, never the caller's own array, or a
+    ValueError naming the field; every record stores its arrays this way."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold numbers only, got {value!r}") from None
     out.flags.writeable = False
     return out
 
 
-def _as_floats(value: Any, name: str) -> np.ndarray:
-    """value as a float array, or a ValueError naming the field."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must hold numbers only, got {value!r}") from None
+def _json_object(d: Any, what: str, required: Iterable[str] = ()) -> Mapping[str, Any]:
+    """d, when it is a mapping that holds every required key; otherwise a
+    ValueError that says what d should have been."""
+    _require(isinstance(d, Mapping), f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in required if key not in d]
+    _require(not missing, f"{what} lacks field(s) {missing}")
+    return d
 
 
 def pad(vec: np.ndarray, n: int) -> np.ndarray:
@@ -103,16 +109,16 @@ class ModelConfig:
     def sigma(self) -> np.ndarray:
         """Noise standard deviations (sigma_1, ..., sigma_N), sigma_i = eps * i^p."""
         i = np.arange(1, self.n_trunc + 1, dtype=float)
-        return _readonly(self.epsilon * i**self.p)
+        return _frozen(self.epsilon * i**self.p, "sigma")
 
     @cached_property
     def sigma_sq(self) -> np.ndarray:
-        return _readonly(self.sigma**2)
+        return _frozen(self.sigma**2, "sigma_sq")
 
     @cached_property
     def variance_sums(self) -> np.ndarray:
         """Index j holds Sigma(j) = sum_{i<=j} sigma_i^2 for j = 0..n_trunc."""
-        return _readonly(np.concatenate(([0.0], np.cumsum(self.sigma_sq))))
+        return _frozen(np.concatenate(([0.0], np.cumsum(self.sigma_sq))), "variance_sums")
 
 
 def make_model(epsilon: float, p: float, n_trunc: int = 4096) -> ModelConfig:
@@ -133,12 +139,12 @@ class Signal:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arr = np.atleast_1d(_as_floats(self.coeffs, "signal coefficients"))
+        arr = np.atleast_1d(_frozen(self.coeffs, "signal coefficients"))
         if arr.ndim != 1:
             raise ValueError("signal coefficients must be one-dimensional")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal coefficients must be finite")
-        object.__setattr__(self, "coeffs", _readonly(arr))
+        object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "params", dict(self.params))
 
     def __len__(self) -> int:
@@ -156,11 +162,8 @@ class Signal:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Signal":
-        _require(isinstance(d, Mapping), f"a signal must be a JSON object, got {type(d).__name__}")
-        missing = [key for key in ("coeffs", "kind") if key not in d]
-        _require(not missing, f"signal lacks field(s) {missing}")
-        params = d.get("params", {})
-        _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
+        d = _json_object(d, "a signal", ("coeffs", "kind"))
+        params = _json_object(d.get("params", {}), "signal params")
         return cls(coeffs=d["coeffs"], kind=d["kind"], params=params)
 
     @classmethod
@@ -225,7 +228,7 @@ def family_radii(family: str, params: Mapping[str, Any], n_trunc: int) -> tuple[
     Missing parameters default to 1.  Signals and smoothness scales both
     take their radii from here.
     """
-    _require(isinstance(params, Mapping), f"{family} params must be a JSON object, got {params!r}")
+    _json_object(params, f"{family} params")
     q = _param(params, "Q", 1.0)
     _require(q > 0, f"Q must be positive, got {q}")
     i = np.arange(1, n_trunc + 1, dtype=float)
@@ -272,9 +275,7 @@ def generate_signal(
       at p = 0.5, 1 and 2: only the p = 0 spike is hidden from the posterior.
     * ``custom`` (coeffs): coefficients passed through verbatim.
     """
-    params = {} if params is None else params
-    _require(isinstance(params, Mapping), f"signal params must be a JSON object, got {params!r}")
-    params = dict(params)
+    params = dict(_json_object({} if params is None else params, "signal params"))
     n_trunc = _integer(n_trunc, "n_trunc", lo=1)
 
     if kind == "zero":
@@ -315,7 +316,7 @@ def generate_signal(
 
     if kind == "custom":
         _require("coeffs" in params, "custom signals need a 'coeffs' parameter")
-        coeffs = np.atleast_1d(_as_floats(params["coeffs"], "coeffs"))
+        coeffs = np.atleast_1d(_frozen(params["coeffs"], "coeffs"))
         _require(len(coeffs) <= n_trunc, f"custom coefficients longer than n_trunc={n_trunc}")
         return Signal(pad(coeffs, n_trunc), kind, {})
 
@@ -331,13 +332,13 @@ class ObservedData:
     seed: int | None
 
     def __post_init__(self) -> None:
-        arr = _as_floats(self.x, "data")
+        arr = _frozen(self.x, "data")
         if arr.shape != (self.model.n_trunc,):
             raise ValueError(
                 f"data length {arr.shape} does not match n_trunc={self.model.n_trunc}"
             )
         _require(bool(np.all(np.isfinite(arr))), "data must be finite")
-        object.__setattr__(self, "x", _readonly(arr))
+        object.__setattr__(self, "x", arr)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .model import ModelConfig, Signal, _integer, family_radii, make_model, pad, tail_sums
+from .model import ModelConfig, Signal, _frozen, _integer, family_radii, make_model, pad, tail_sums
 
 __all__ = [
     "OracleResult",
@@ -334,7 +334,7 @@ def _geometric_series_bound(model: ModelConfig, gamma: float) -> float:
 
 
 def _validate_radii(a: np.ndarray) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = np.atleast_1d(_frozen(a, "class radii"))
     if a.ndim != 1 or len(a) == 0:
         raise ValueError("class radii must be a nonempty one-dimensional sequence")
     if np.any(a < 0) or not np.all(np.isfinite(a)):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ObservedData, _integer, pad, tail_sums
+from .model import ObservedData, _frozen, _integer, pad, tail_sums
 
 __all__ = [
     "DdmParams",
@@ -117,17 +117,10 @@ class MixtureWeights:
     log_w: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.log_w, dtype=float)
+        arr = _frozen(self.log_w, "log_w")
         if arr.ndim != 1:
             raise ValueError(f"log_w must be one-dimensional, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
         object.__setattr__(self, "log_w", arr)
-
-    @classmethod
-    def from_unnormalized(cls, log_u: np.ndarray) -> "MixtureWeights":
-        log_u = np.asarray(log_u, dtype=float)
-        return cls(log_w=log_u - _logsumexp(log_u))
 
     @property
     def i_max(self) -> int:
@@ -162,8 +155,8 @@ def _index_weights(data: ObservedData, params: DdmParams, i_max: int | None, shr
     """Index weights over I = 1..i_max (all of the data when None): the
     increments cumulated from log u_1 = 0, then normalized."""
     i_max = len(data) if i_max is None else _integer(i_max, "i_max", 1, len(data))
-    inc = _increments(data, params, i_max, shrunk)
-    return MixtureWeights.from_unnormalized(np.concatenate(([0.0], np.cumsum(inc))))
+    log_u = np.concatenate(([0.0], np.cumsum(_increments(data, params, i_max, shrunk))))
+    return MixtureWeights(log_u - _logsumexp(log_u))
 
 
 def mixture_weights(data: ObservedData, params: DdmParams, i_max: int | None = None) -> MixtureWeights:

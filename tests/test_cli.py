@@ -436,8 +436,8 @@ _SIM = ["simulate", "--eps", "0.1", "--seed", "1", "--kind", "sobolev-boundary",
 @pytest.mark.parametrize("argv, content, message", [
     (_SIM + ['{"beta": null}'], None, "parameter 'beta' must be a number"),
     (_SIM + ["[1]"], None, "signal params must be a JSON object"),
-    (["posterior", "--data", "F"], "[1, 2]", "must hold a JSON object"),
-    (["ball", "--data", "F", "--seed", "1"], "[1, 2]", "must hold a JSON object"),
+    (["posterior", "--data", "F"], "[1, 2]", "must be a JSON object, got list"),
+    (["ball", "--data", "F", "--seed", "1"], "[1, 2]", "must be a JSON object, got list"),
     (["classify", "--signal", "F", "--eps", "0.1"], "[1, 2]", "a signal must be a JSON object"),
     (["posterior", "--data", "F"], json.dumps({k: v for k, v in _DATA.items() if k != "n_trunc"}),
      "lacks field(s) ['n_trunc']"),

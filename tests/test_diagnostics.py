@@ -1,5 +1,6 @@
 """Condition estimators, oversmoothing mass, ball volumes."""
 
+import inspect
 import math
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestConditionEstimators:
         with pytest.raises(AssertionError, match="before the arguments"):
             estimator(1.0, tiny_model, tiny_signal, params, center_rule="posterior-mean",
                       reps=2, inner_mc=500, seed=0)
+
+    def test_estimators_share_one_parameter_order(self):
+        """Past the grid, the three estimators take the same parameters in
+        the same order (psi adds its scaling), so one positional call means
+        the same run to each."""
+        orders = [
+            [name for name in inspect.signature(estimator).parameters if name != "scaling"][1:]
+            for estimator in (estimate_phi1, estimate_psi, estimate_phi2)
+        ]
+        assert orders[0] == ["model", "signal", "params", "center_rule", "reps", "inner_mc", "seed"]
+        assert orders[1] == orders[0] and orders[2] == orders[0]
 
 
 class TestReplicate:

@@ -196,3 +196,54 @@ def test_cli_variants_are_the_posterior_variants():
     sub = next(a for a in _build_parser()._actions if a.choices and "posterior" in a.choices)
     variant = next(a for a in sub.choices["posterior"]._actions if a.dest == "variant")
     assert tuple(variant.choices) == VARIANTS
+
+
+def test_cli_and_spec_prior_defaults_are_the_prior_defaults():
+    """--K and --alpha of every subcommand, and the spec's K and alpha,
+    default to DdmParams' own defaults."""
+    from seqcred.cli import _build_parser
+    from seqcred.experiments import ExperimentSpec
+    from seqcred.posterior import DdmParams
+
+    prior = DdmParams()
+    sub = next(a for a in _build_parser()._actions if a.choices and "posterior" in a.choices)
+    defaults = {
+        (command, action.dest): action.default
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.dest in ("K", "alpha")
+    }
+    assert {command for command, _ in defaults} == {"posterior", "ball", "verify-constants"}
+    assert all(value == getattr(prior, dest) for (_, dest), value in defaults.items())
+    spec_defaults = {f.name: f.default for f in fields(ExperimentSpec) if f.name in ("K", "alpha")}
+    assert spec_defaults == {"K": prior.K, "alpha": prior.alpha}
+
+
+def _enclosing_defs(predicate) -> set[tuple[str, str | None]]:
+    """(module, top-level name) of every AST node in the package that
+    satisfies predicate."""
+    return {
+        (path.name, getattr(top, "name", None))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if predicate(node)
+    }
+
+
+def test_only_frozen_freezes_an_array():
+    """Records store arrays through model._frozen alone: no other function
+    sets a writeable flag or makes an array contiguous by hand."""
+    freezers = _enclosing_defs(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in ("writeable", "ascontiguousarray")
+    )
+    assert freezers == {("model.py", "_frozen")}
+
+
+def test_only_json_object_checks_a_json_object():
+    """Every JSON object's shape is checked by model._json_object alone."""
+    checkers = _enclosing_defs(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "must be a JSON object" in node.value
+    )
+    assert checkers == {("model.py", "_json_object")}
