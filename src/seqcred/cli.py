@@ -121,7 +121,9 @@ def _build_parser() -> _Parser:
     exp.add_argument("--kind", default=None, choices=EXPERIMENT_KINDS)
     exp.add_argument("--seed", type=int, default=None, help="override master seed")
     exp.add_argument("--out", default=None, help="override output directory")
-    exp.add_argument("--threads", type=int, default=None, help="worker processes; 0 or 1 runs serially")
+    exp.add_argument("--threads", type=int, default=None,
+                     help="worker processes: 0 (the default) one per usable CPU, 1 serial; a one-cell pass "
+                          "never starts a pool, and results do not depend on the count")
     exp.add_argument("--check", action="store_true", help="exit 2 unless the acceptance summary holds")
 
     ver = sub.add_parser("verify-constants", help="variance-sequence and volume checks")

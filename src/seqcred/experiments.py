@@ -18,6 +18,7 @@ output directory names.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import json
@@ -647,9 +648,11 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 # worker + driver
 
 def _cell_worker(job):
-    """Run one cell body, pilot or main, and return (rows, summary, error):
-    its statistics as CSV rows under the cell seed and its summary, or, for
-    a failing cell, one error row, a failed placeholder and the traceback."""
+    """Run one cell body, pilot or main, and return (rows, summary, error,
+    seconds): its statistics as CSV rows under the cell seed and its
+    summary, or, for a failing cell, one error row, a failed placeholder and
+    the traceback; and the cell's own wall time, not its wait for a worker."""
+    t0 = time.monotonic()
     spec, cell_idx, (i, j), body = job
     entries = _KINDS[spec.kind].entries
     eps = spec.eps_grid[j]
@@ -660,33 +663,43 @@ def _cell_worker(job):
         seed = seed_int(stream(spec.master_seed, cell_idx))
         rows = [_row(f"{spec.kind}:{suffix}", name, params, eps, grid, stat, se, seed)
                 for suffix, grid, stat, se in stats]
+        summary = {"cell": cell_idx, entries[:-1]: f"{name}{_params_str(params)}", "epsilon": eps, **summary}
+        outcome = rows, summary, None
     except Exception:
         desc = getattr(spec, entries)[i]
         tag = desc.get("name") or desc.get("kind") or "?"
         row = _row(f"{spec.kind}:error", str(tag), dict(desc.get("params", {})), eps, "error", math.nan, math.nan, 0)
-        return [row], {"cell": cell_idx, "failed": True}, traceback.format_exc()
-    return rows, {"cell": cell_idx, entries[:-1]: f"{name}{_params_str(params)}", "epsilon": eps, **summary}, None
+        outcome = [row], {"cell": cell_idx, "failed": True}, traceback.format_exc()
+    return (*outcome, time.monotonic() - t0)
 
 
-def _run_pass(spec, body, coords, n_workers: int, failed: list, phase: str, seconds: dict) -> tuple[list, list]:
-    """Run body on every cell, on a process pool when there are workers and
-    cells to share; return the rows and summaries in cell order, append a
-    {cell, coord, phase, error} record to failed for each failing cell, and
-    set seconds[phase] to the pass's wall time."""
+def _pool_size(spec: ExperimentSpec, n_cells: int) -> int:
+    """Processes that run the spec's cells: spec.workers, where 0 means one
+    per usable CPU, and never more than there are cells.  1 runs them in
+    this process."""
+    workers = spec.workers
+    if workers == 0:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, n_cells)
+
+
+def _run_pass(spec, body, coords, pool, failed: list, phase: str, runtime: dict) -> tuple[list, list]:
+    """Run body on every cell, through pool.map when there is a pool and in
+    this process otherwise; return the rows and summaries in cell order,
+    append a {cell, coord, phase, error} record to failed for each failing
+    cell, and set runtime["phase_seconds"][phase] to the pass's wall time and
+    runtime["cell_seconds"][phase] to each cell's, in cell order."""
     t0 = time.monotonic()
     jobs = [(spec, idx, coord, body) for idx, coord in enumerate(coords)]
-    if n_workers > 1 and len(jobs) > 1:
-        with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_cell_worker, jobs))
-    else:
-        outcomes = [_cell_worker(job) for job in jobs]
+    outcomes = list((map if pool is None else pool.map)(_cell_worker, jobs))
     rows, summaries = [], []
-    for coord, (cell_rows, summary, error) in zip(coords, outcomes):
+    for coord, (cell_rows, summary, error, _) in zip(coords, outcomes):
         rows += cell_rows
         summaries.append(summary)
         if error is not None:
             failed.append({"cell": summary["cell"], "coord": list(coord), "phase": phase, "error": error})
-    seconds[phase] = time.monotonic() - t0
+    runtime["cell_seconds"][phase] = [seconds for *_, seconds in outcomes]
+    runtime["phase_seconds"][phase] = time.monotonic() - t0
     return rows, summaries
 
 
@@ -697,23 +710,27 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     summary, and summary["failed_cells"] gets its {cell, coord, phase, error}
     record: coord is its (entry, eps) index pair, phase "pilot" or "main",
     error its traceback.  Other cells are unaffected.
+
+    The cells run on one process pool, shared by the pilot and main passes,
+    when _pool_size gives at least 2; every worker has exited by the time
+    this returns or raises.
     """
     t0 = time.monotonic()
     n_entries = len(getattr(spec, _KINDS[spec.kind].entries))
     coords = [(i, j) for i in range(n_entries) for j in range(len(spec.eps_grid))]
-    n_workers = max(1, spec.workers)
+    n_workers = _pool_size(spec, len(coords))
     report = ExperimentReport(spec=spec)
     failed: list = []
-    phase_seconds: dict = {}
+    runtime: dict = {"phase_seconds": {}, "cell_seconds": {}}
 
-    cell_spec = spec
-    if spec.kind == "coverage-size":
-        cell_spec, pilot_cells = _calibrate_coverage(spec, coords, n_workers, failed, phase_seconds)
-        report.summary.update(inflation_C=cell_spec.coverage_inflation, size_c=cell_spec.size_threshold,
-                              pilot_cells=pilot_cells, pilot_reps=spec.pilot_reps)
-
-    report.cells, cell_summaries = _run_pass(
-        cell_spec, _KINDS[spec.kind].cell, coords, n_workers, failed, "main", phase_seconds)
+    with futures.ProcessPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
+        cell_spec = spec
+        if spec.kind == "coverage-size":
+            cell_spec, pilot_cells = _calibrate_coverage(spec, coords, pool, failed, runtime)
+            report.summary.update(inflation_C=cell_spec.coverage_inflation, size_c=cell_spec.size_threshold,
+                                  pilot_cells=pilot_cells, pilot_reps=spec.pilot_reps)
+        report.cells, cell_summaries = _run_pass(
+            cell_spec, _KINDS[spec.kind].cell, coords, pool, failed, "main", runtime)
     report.summary["cells"] = cell_summaries
     report.summary["failed_cells"] = failed
     ok_cells = [c for c in cell_summaries if not c.get("failed")]
@@ -722,7 +739,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     report.runtime = {
         "wall_seconds": time.monotonic() - t0,
-        "phase_seconds": phase_seconds,
+        **runtime,
         "workers": n_workers,
         "n_cells": len(coords),
     }
@@ -732,14 +749,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     return report
 
 
-def _calibrate_coverage(spec, coords, n_workers, failed, phase_seconds):
+def _calibrate_coverage(spec, coords, pool, failed, runtime):
     """Pilot pass, whose rows are dropped: the spec with its inflation and size
     threshold set where it leaves them unset, and the successful pilot cells."""
     need_c = spec.coverage_inflation is None
     need_s = spec.size_threshold is None
     pilot_cells: list = []
     if need_c or need_s:
-        _, summaries = _run_pass(spec, _cell_coverage_pilot, coords, n_workers, failed, "pilot", phase_seconds)
+        _, summaries = _run_pass(spec, _cell_coverage_pilot, coords, pool, failed, "pilot", runtime)
         pilot_cells = [c for c in summaries if not c.get("failed")]
     inflation = spec.coverage_inflation
     if need_c:

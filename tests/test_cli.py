@@ -9,6 +9,7 @@ for the override plumbing.
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -375,18 +376,25 @@ class TestExperimentPlumbing:
         assert spec.out_dir == str(tmp_path / "results")
 
     def test_saved_spec_with_zero_workers_runs_serially(self, tmp_path, monkeypatch, capsys):
-        """A spec saved with "workers": 0 runs on one worker whatever the
-        environment says; --threads sets the count.  The run has one cell,
-        so it never starts a process pool whatever the count."""
+        """A spec saved with "workers": 0 runs one worker per usable CPU,
+        whatever the environment says, and --threads sets the count; the
+        runtime reports the processes that ran the cells.  A one-cell run
+        never starts a process pool, so it reports 1 whatever the count."""
         monkeypatch.setenv("DDM_THREADS", "5")
-        spec = default_spec(
-            "scale-adaptation", scales=default_spec("scale-adaptation").scales[:1],
-            eps_grid=(0.1,), n_trunc=64, n_cover_samples=5,
-        )
-        assert json.loads(spec.to_json())["workers"] == 0
-        cfg = tmp_path / "one-cell.json"
-        cfg.write_text(spec.to_json())
-        for extra, workers in (([], 1), (["--threads", "2"], 2)):
+        scales = default_spec("scale-adaptation").scales
+        one_cell = default_spec("scale-adaptation", scales=scales[:1], eps_grid=(0.1,), n_trunc=64, n_cover_samples=5)
+        two_cells = default_spec("scale-adaptation", scales=scales[:2], eps_grid=(0.1,), n_trunc=64, n_cover_samples=5)
+        assert json.loads(one_cell.to_json())["workers"] == json.loads(two_cells.to_json())["workers"] == 0
+        usable = len(os.sched_getaffinity(0))
+        for spec, extra, workers in (
+            (one_cell, [], 1),
+            (one_cell, ["--threads", "2"], 1),
+            (two_cells, [], min(usable, 2)),
+            (two_cells, ["--threads", "1"], 1),
+            (two_cells, ["--threads", "2"], 2),
+        ):
+            cfg = tmp_path / "spec.json"
+            cfg.write_text(spec.to_json())
             code, out, _ = run_cli(["experiment", "--config", str(cfg), *extra], capsys)
             assert code == 0
             assert json.loads(out)["runtime"]["workers"] == workers

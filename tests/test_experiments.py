@@ -9,7 +9,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from seqcred import (
     run_experiment,
     write_report,
 )
+from seqcred import experiments
 from seqcred.experiments import _build_signal
 
 FAST = dict(n_trunc=96, reps=6, inner_mc=1000, pilot_reps=4, master_seed=5)
@@ -361,7 +365,8 @@ class TestCoverageCells:
         calibrated values builds none."""
         from seqcred import experiments
 
-        spec = default_spec("coverage-size", n_trunc=256, reps=2, pilot_reps=2, inner_mc=1000, **pinned)
+        # workers=1: generate_signal calls made in pool workers would not reach this list
+        spec = default_spec("coverage-size", n_trunc=256, reps=2, pilot_reps=2, inner_mc=1000, workers=1, **pinned)
         calls = []
         real = experiments.generate_signal
 
@@ -500,13 +505,21 @@ class TestDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_phase_timings_stay_out_of_the_csv(self, coverage_report, tmp_path):
-        """The pilot and main passes are timed in the runtime record, which
-        round-trips through JSON, and a rerun of the spec writes the same CSV."""
+        """The pilot and main passes, and each of their cells, are timed in
+        the runtime record, which round-trips through JSON, and a rerun of
+        the spec writes the same CSV."""
         again = run_experiment(coverage_report.spec)
         phases = again.runtime["phase_seconds"]
         assert list(phases) == ["pilot", "main"]
         assert all(t > 0 for t in phases.values())
         assert sum(phases.values()) <= again.runtime["wall_seconds"]
+        cells = again.runtime["cell_seconds"]
+        assert list(cells) == ["pilot", "main"]
+        for phase, seconds in cells.items():
+            assert len(seconds) == again.runtime["n_cells"] == 2
+            assert all(t > 0 for t in seconds)
+            # the cells share the pass's wall time among at most `workers` processes
+            assert sum(seconds) <= again.runtime["workers"] * phases[phase]
         assert json.loads(json.dumps(again.runtime)) == again.runtime
         pa = write_report(coverage_report, "csv", tmp_path / "a.csv")
         pb = write_report(again, "csv", tmp_path / "b.csv")
@@ -521,22 +534,96 @@ class TestDeterminism:
         assert sa != sb
 
 
+#: a spec of each kind with at least three cells, so that every worker count
+#: up to 3 fills its pool
+WORKER_SPECS = {
+    "contraction": default_spec("contraction", eps_grid=(0.1, 0.05, 0.02), **FAST),
+    "oracle-inequality": default_spec(
+        "oracle-inequality", signals=default_spec("oracle-inequality").signals[:2], eps_grid=(0.1, 0.05), **FAST),
+    "small-ball": default_spec("small-ball", eps_grid=(0.1, 0.05, 0.02), **FAST),
+    "coverage-size": default_spec(
+        "coverage-size", signals=default_spec("coverage-size").signals[:3], **dict(FAST, reps=3, pilot_reps=2)),
+    "overshrinkage": default_spec("overshrinkage", eps_grid=(0.01, 0.005, 0.001), n_trunc=96, reps=4, master_seed=5),
+    "scale-adaptation": default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10, eps_grid=(0.1, 0.05)),
+}
+
+
+def _two_cell_coverage(**overrides):
+    signals = ({"kind": "zero", "params": {}}, {"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}})
+    return default_spec("coverage-size", **{**FAST, "signals": signals, "reps": 3, "pilot_reps": 2, **overrides})
+
+
+@pytest.fixture(scope="module", params=EXPERIMENT_KINDS)
+def serial_run(request):
+    spec = WORKER_SPECS[request.param]
+    return spec, run_experiment(dataclasses.replace(spec, workers=1))
+
+
 class TestWorkers:
-    @pytest.mark.parametrize("spec", [
-        default_spec("scale-adaptation", n_trunc=64, n_cover_samples=10, eps_grid=(0.1, 0.05)),
-        # two cells, so the pilot pass also goes through the process pool
-        default_spec(
-            "coverage-size",
+    @pytest.mark.parametrize("workers", [0, 1, 2, 3])
+    def test_parallel_run_matches_serial(self, serial_run, workers):
+        """Cells read only their own streams, so the rows, the pilot cells
+        and the calibrated C and c do not depend on the worker count, 3
+        included, which may exceed the host's cores.  The report gives the
+        processes that ran the cells."""
+        spec, serial = serial_run
+        run = run_experiment(dataclasses.replace(spec, workers=workers))
+        n_cells = run.runtime["n_cells"]
+        assert n_cells >= 3
+        expected = min(workers or len(os.sched_getaffinity(0)), n_cells)
+        assert serial.runtime["workers"] == 1 and run.runtime["workers"] == expected
+        assert run.cells == serial.cells
+        for key in ("pilot_cells", "inflation_C", "size_c"):
+            assert run.summary.get(key) == serial.summary.get(key)
+
+    def test_zero_means_one_worker_per_usable_cpu(self, monkeypatch):
+        spec = WORKER_SPECS["coverage-size"]
+        assert experiments._pool_size(spec, 100) == len(os.sched_getaffinity(0))
+        assert experiments._pool_size(dataclasses.replace(spec, workers=5), 3) == 3
+        assert experiments._pool_size(dataclasses.replace(spec, workers=1), 3) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert experiments._pool_size(spec, 100) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._pool_size(spec, 100) == 1
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_cell_run_starts_no_pool(self, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-cell run started a process pool")
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+        spec = default_spec("coverage-size", signals=({"kind": "zero", "params": {}},), workers=workers, **FAST)
+        report = run_experiment(spec)
+        assert report.runtime["workers"] == 1
+        assert list(report.runtime["phase_seconds"]) == ["pilot", "main"]
+
+    def test_pilot_and_main_share_one_pool(self, monkeypatch):
+        opened = []
+
+        class CountingPool(futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+        report = run_experiment(_two_cell_coverage(workers=2))
+        assert list(report.runtime["phase_seconds"]) == ["pilot", "main"]
+        assert report.runtime["workers"] == 2
+        assert len(opened) == 1
+
+    def test_workers_exit_with_the_run(self):
+        run_experiment(_two_cell_coverage(workers=2))
+        assert multiprocessing.active_children() == []
+        # a tiny tau_ebr leaves no EBR member among the sobolev signals, so calibration raises
+        spec = _two_cell_coverage(
+            workers=2,
+            tau_ebr=1e-12,
             signals=(
-                {"kind": "zero", "params": {}},
                 {"kind": "sobolev-boundary", "params": {"beta": 1.0, "Q": 1.0}},
+                {"kind": "sobolev-boundary", "params": {"beta": 2.0, "Q": 1.0}},
             ),
-            **dict(FAST, reps=3, pilot_reps=2),
-        ),
-    ], ids=["scale-adaptation", "coverage-size"])
-    def test_parallel_run_matches_serial(self, spec):
-        a = run_experiment(dataclasses.replace(spec, workers=1))
-        b = run_experiment(dataclasses.replace(spec, workers=2))
-        assert a.runtime["workers"] == 1 and b.runtime["workers"] == 2
-        assert a.cells == b.cells
-        assert a.summary.get("pilot_cells") == b.summary.get("pilot_cells")
+        )
+        with pytest.raises(ValueError, match="needs at least one EBR-member cell"):
+            run_experiment(spec)
+        assert multiprocessing.active_children() == []

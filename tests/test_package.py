@@ -130,9 +130,9 @@ def test_cell_bodies_share_one_signature():
 
 
 def test_one_pass_runner():
-    """_run_pass is the one function that maps _cell_worker over the cells
-    and the one that opens a process pool, so the pilot and the main pass
-    collect their cells through the same loop."""
+    """_run_pass is the one function that maps _cell_worker over the cells,
+    so the pilot and the main pass collect their cells through the same
+    loop; run_experiment is the one that opens a process pool, once per run."""
     tree = ast.parse((SRC / "experiments.py").read_text())
     users: dict = {"_cell_worker": set(), "ProcessPoolExecutor": set()}
     for top in tree.body:
@@ -140,7 +140,7 @@ def test_one_pass_runner():
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if name in users:
                 users[name].add(getattr(top, "name", None))
-    assert users == {"_cell_worker": {"_run_pass"}, "ProcessPoolExecutor": {"_run_pass"}}
+    assert users == {"_cell_worker": {"_run_pass"}, "ProcessPoolExecutor": {"run_experiment"}}
 
 
 
